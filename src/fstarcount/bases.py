@@ -56,7 +56,8 @@ def _coefficients_in_basis(p: Polynomial, basis: list[Polynomial],
     matrix = [[b(k) for b in basis] for k in points]
     rhs = [p(k) for k in points]
     solution = solve_exact(matrix, rhs)
-    assert solution is not None
+    if solution is None:
+        raise AssertionError("basis change system must be consistent")
     return solution
 
 

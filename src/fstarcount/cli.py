@@ -225,8 +225,6 @@ def _build_parser() -> _Parser:
         for flag, options in arguments.items():
             p.add_argument(flag, **options)
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--parallel", action="store_true",
-                       help="enable internal parallel enumeration")
         p.set_defaults(func=func)
         return p
 
@@ -245,7 +243,9 @@ def _build_parser() -> _Parser:
            "--max-level": dict(type=int, required=True)})
     add("complex-fstar", _cmd_complex_fstar,
         **{"--complex": dict(required=True),
-           "--ambient-degree": dict(type=int, default=None)})
+           "--ambient-degree": dict(type=int, default=None),
+           "--parallel": dict(action="store_true",
+                              help="sum the cells in worker processes")})
     add("rational-fstar", _cmd_rational_fstar,
         **{"--simplex": dict(required=True),
            "--period": dict(type=int, required=True)})

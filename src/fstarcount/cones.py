@@ -14,7 +14,8 @@ point partitions the lattice points of the open cone.
 
 Enumeration works in scaled integer coordinates: with t = denom * lambda
 (an integer vector computed by a precomputed exact solve template) every
-membership test below is pure integer arithmetic.
+membership test below is pure integer arithmetic.  Cones of lower
+dimension run in a lattice basis of their span, from the same pass.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import (IntVector, RatVector, Scalar, SolveTemplate,
-                    span_lattice_basis)
+from .exact import IntVector, RatVector, Scalar, SolveTemplate
 
 Constraint = tuple[Sequence[int], Optional[int], Optional[int]]
 
@@ -195,19 +195,11 @@ class ConeBasis:
         """For fewer generators than ambient dimensions: the same cone
         expressed over a lattice basis of span intersect Z^n, so that
         enumerations can run in the (small) span coordinates.  None when
-        the cone is already full-dimensional."""
+        the cone is already full-dimensional.  Both come from the
+        solver's echelon pass (see exact._echelon)."""
         if self.ambient_dim == self.dim:
             return None
-        span = span_lattice_basis(self.generators)
-        coord_solver = SolveTemplate(
-            [[span[j][c] for j in range(self.dim)]
-             for c in range(self.ambient_dim)])
-        coords = []
-        for g in self.generators:
-            sol = coord_solver.solve(g)
-            assert sol is not None and all(x.denominator == 1 for x in sol)
-            coords.append([int(x) for x in sol])
-        return ConeBasis(coords), tuple(span)
+        return ConeBasis(zip(*self.solver._hermite)), self.solver._span
 
 
 def coefficients_of(basis: ConeBasis,
@@ -411,7 +403,8 @@ def verify_partition(basis: ConeBasis, max_level: int) -> PartitionReport:
     z in a + discrete cone of the first lev(a) generators."""
     atomics, denom = _scaled_atomic(basis)
     points, denom_points = _cone_points_scaled(basis, max_level)
-    assert denom == denom_points
+    if denom != denom_points:
+        raise AssertionError("atomic and cone scans must share a denominator")
     # Group by the componentwise remainder mod denom: translation by an
     # integer generator combination never changes it.
     groups: dict[tuple[int, ...], list[tuple[list[int], int]]] = {}

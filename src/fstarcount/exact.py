@@ -7,12 +7,17 @@ exact; there is no floating point anywhere.
 
 Vectors are plain tuples: `IntVector = tuple[int, ...]` and
 `RatVector = tuple[Fraction, ...]`.  A matrix is a tuple of row vectors.
+
+One integer echelon pass (`_echelon`, a Hermite normal form) gives a
+`SolveTemplate` its rows and a cone the lattice basis of its span; the
+Fraction elimination `_rref` serves only the oracles `solve_exact` and
+`matrix_rank`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -97,40 +102,80 @@ def solve_exact(matrix: Sequence[Sequence[Scalar]],
     return tuple(solution)
 
 
+def _echelon(matrix: Sequence[Sequence[Scalar]],
+             ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """(H, U, W) with U . A = [H; 0] for an n x d matrix A of full column
+    rank: H is its Hermite normal form (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4), upper triangular with a positive
+    diagonal and the entries above it reduced modulo that diagonal.
+
+    Rational rows are scaled by the lcm of their denominators, a scale
+    folded into U; W lists the columns of the inverse of U's unimodular
+    part.  For integer A, W[:d] is a basis of span(A) meet Z^n and
+    column j of H holds the coordinates of column j of A in it."""
+    n, d = len(matrix), len(matrix[0])
+    work = []  # the rows of [A | U]
+    for i, row in enumerate(matrix):
+        scale = lcm(*(x.denominator for x in row), 1)
+        work.append([int(x * scale) for x in row]
+                    + [scale if j == i else 0 for j in range(n)])
+    inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def subtract(i: int, j: int, q: int) -> None:
+        # Row i -= q * row j; the inverse gains q * column i on column j.
+        if q:
+            work[i] = [a - q * b for a, b in zip(work[i], work[j])]
+            inverse[j] = [a + q * b for a, b in zip(inverse[j], inverse[i])]
+
+    for c in range(d):
+        for r in range(c + 1, n):
+            while work[r][c]:  # Euclid on rows c and r
+                subtract(c, r, work[c][c] // work[r][c])
+                work[c], work[r] = work[r], work[c]
+                inverse[c], inverse[r] = inverse[r], inverse[c]
+        if c >= n or work[c][c] == 0:
+            raise ValueError("generators not linearly independent")
+        if work[c][c] < 0:
+            work[c] = [-x for x in work[c]]
+            inverse[c] = [-x for x in inverse[c]]
+        for r in range(c):
+            subtract(r, c, work[r][c] // work[c][c])
+    return [row[:d] for row in work[:d]], [row[d:] for row in work], inverse
+
+
 class SolveTemplate:
     """Precomputed exact solver for `matrix @ x = z` with a fixed matrix
     and many right-hand sides.
 
-    Row-reducing [matrix | I] once yields an integer matrix `rows` and a
-    positive integer `denom` with  x_i = (rows[i] . z) / denom,  valid
-    exactly when every residual row annihilates z (for square full-rank
-    matrices there are no residual rows).  Keeping the scaled integer
+    One echelon pass yields an integer matrix `rows` and a positive
+    integer `denom` with  x_i = (rows[i] . z) / denom,  valid exactly
+    when every residual row annihilates z (for square full-rank matrices
+    there are none, and `denom` is least).  Keeping the scaled integer
     form lets enumeration loops stay in pure integer arithmetic.
     """
 
-    __slots__ = ("n_rows", "n_cols", "rows", "denom", "residual_rows")
+    __slots__ = ("rows", "denom", "residual_rows", "_hermite", "_span")
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]]):
-        n = len(matrix)
-        d = len(matrix[0])
-        aug = [[Fraction(x) for x in row]
-               + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(matrix)]
-        pivots = _rref(aug)
-        if [p for p in pivots if p < d] != list(range(d)):
-            raise ValueError("generators not linearly independent")
-        transform = [row[d:] for row in aug]
-        denom = lcm(*(x.denominator for row in transform[:d] for x in row), 1)
-        self.n_rows = n
-        self.n_cols = d
-        self.denom = denom
-        self.rows = tuple(tuple(int(x * denom) for x in row)
-                          for row in transform[:d])
-        residuals = []
-        for row in transform[d:]:
-            scale = lcm(*(x.denominator for x in row), 1)
-            residuals.append(tuple(int(x * scale) for x in row))
-        self.residual_rows = tuple(residuals)
+        hermite, u, inverse = _echelon(matrix)
+        d = len(hermite)
+        # rows = det(H) H^-1 U[:d] by integer back-substitution; the
+        # residual rows are U[d:].
+        det = prod(hermite[i][i] for i in range(d))
+        solved: list[list[int]] = [[]] * d
+        for i in reversed(range(d)):
+            acc = [det * x for x in u[i]]
+            for j in range(i + 1, d):
+                if hermite[i][j]:
+                    acc = [a - hermite[i][j] * b
+                           for a, b in zip(acc, solved[j])]
+            solved[i] = [a // hermite[i][i] for a in acc]
+        g = gcd(det, *(x for row in solved for x in row))
+        self.denom = det // g
+        self.rows = tuple(tuple(x // g for x in row) for row in solved)
+        self.residual_rows = tuple(tuple(row) for row in u[d:])
+        self._hermite = hermite
+        self._span = tuple(tuple(col) for col in inverse[:d])
 
     def scaled_solution(self, z: Sequence[int]) -> Optional[list[int]]:
         """denom * x as integers, or None when z is off the column span."""
@@ -138,89 +183,6 @@ class SolveTemplate:
             if dot(row, z) != 0:
                 return None
         return [dot(row, z) for row in self.rows]
-
-    def solve(self, z: Sequence[int]) -> Optional[RatVector]:
-        scaled = self.scaled_solution(z)
-        if scaled is None:
-            return None
-        return tuple(Fraction(t, self.denom) for t in scaled)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, u, v with u*a + v*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q, rem = divmod(old_r, r)
-        old_r, r = r, rem
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
-def integer_kernel(rows: Sequence[Sequence[int]]) -> list[IntVector]:
-    """Basis of {v integral : rows @ v = 0}, via unimodular column
-    reduction of the matrix stacked on an identity block."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    cols = [[rows[r][c] for r in range(m)] + [int(i == c) for i in range(n)]
-            for c in range(n)]
-    fixed = 0
-    for r in range(m):
-        piv = next((j for j in range(fixed, n) if cols[j][r] != 0), None)
-        if piv is None:
-            continue
-        cols[fixed], cols[piv] = cols[piv], cols[fixed]
-        for j in range(fixed + 1, n):
-            if cols[j][r] == 0:
-                continue
-            a, b = cols[fixed][r], cols[j][r]
-            g, u, v = _xgcd(a, b)
-            p, q = a // g, b // g
-            head, other = cols[fixed], cols[j]
-            cols[fixed] = [u * x + v * y for x, y in zip(head, other)]
-            cols[j] = [p * y - q * x for x, y in zip(head, other)]
-        fixed += 1
-    return [tuple(col[m:]) for col in cols[fixed:]]
-
-
-def span_lattice_basis(vectors: Sequence[Sequence[int]]) -> list[IntVector]:
-    """Basis of the lattice span_R(vectors) intersect Z^n, for linearly
-    independent integer vectors.
-
-    Row-reducing the vectors gives rational rows R with identity on the
-    pivot columns, so integral span points correspond to integer
-    combinations y with y @ R integral on the non-pivot columns -- a
-    congruence sublattice of Z^d computed by an integer kernel.
-    """
-    d = len(vectors)
-    n = len(vectors[0])
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    pivots = _rref(rows)
-    if len(pivots) != d:
-        raise ValueError("generators not linearly independent")
-    denom = lcm(*(x.denominator for row in rows for x in row), 1)
-    free_cols = [c for c in range(n) if c not in pivots]
-    if denom == 1 or not free_cols:
-        combos = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    else:
-        # y is admissible iff sum_r y_r * (denom * R[r][c]) = 0 mod denom
-        # for every non-pivot column c.
-        constraint = [[int(rows[r][c] * denom) for r in range(d)]
-                      + [-denom if i == k else 0 for i in range(len(free_cols))]
-                      for k, c in enumerate(free_cols)]
-        kernel = integer_kernel(constraint)
-        combos = [vec[:d] for vec in kernel]
-        assert len(combos) == d
-    basis = []
-    for y in combos:
-        x = [sum(y[r] * rows[r][c] for r in range(d)) for c in range(n)]
-        assert all(value.denominator == 1 for value in x)
-        basis.append(tuple(int(value) for value in x))
-    return basis
 
 
 class Polynomial:

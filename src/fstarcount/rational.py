@@ -73,7 +73,8 @@ def residue_fstar(simplex: Simplex, period: int) -> EhrhartQuasiPolynomial:
     for atom in enumerate_atomic(basis):
         i = atom.level - 1
         residue = atom.height - i * period - 1
-        assert 0 <= residue < period
+        if not 0 <= residue < period:
+            raise AssertionError("atomic height outside its level's residues")
         buckets[residue][i] += 1
     return EhrhartQuasiPolynomial(
         period, d,
@@ -88,7 +89,8 @@ def quasi_eval(qp: EhrhartQuasiPolynomial, height: int) -> int:
     residue = (height - 1) % m
     k = (height - 1) // m + 1
     value = eval_fstar(qp.residue_fstar[residue], k)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise AssertionError("quasipolynomial value must be an integer")
     return int(value)
 
 

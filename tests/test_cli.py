@@ -149,6 +149,15 @@ def test_parallel_same_bytes(tmp_path, capsys):
     assert serial == parallel
 
 
+def test_parallel_only_on_complex_fstar(tmp_path, capsys):
+    path = write(tmp_path, "s.json", OPEN_STD2)
+    code = cli.run(["fstar", "--simplex", path, "--parallel"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_table_format(tmp_path, capsys):
     path = write(tmp_path, "s.json", OPEN_STD2)
     code = cli.run(["fstar", "--simplex", path, "--format", "table"])

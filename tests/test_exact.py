@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from fstarcount.cones import ConeBasis
 from fstarcount.exact import (Polynomial, SolveTemplate, binomial_poly,
-                              gen_binomial, integer_kernel, matrix_rank,
-                              solve_exact, span_lattice_basis)
+                              gen_binomial, matrix_rank, solve_exact)
 
 
 class TestGenBinomial:
@@ -66,26 +68,48 @@ class TestSolveExact:
             assert solve_exact(rows, rhs) == tuple(x)
 
 
+def template_solve(template, z):
+    scaled = template.scaled_solution(z)
+    if scaled is None:
+        return None
+    return tuple(Fraction(t, template.denom) for t in scaled)
+
+
 class TestSolveTemplate:
     def test_matches_solve_exact(self):
         rng = random.Random(21)
-        for _ in range(20):
-            cols = rng.randint(1, 3)
-            rows_n = cols + rng.randint(0, 2)
+        for trial in range(80):
+            cols = rng.randint(1, 4)
+            rows_n = cols + rng.randint(0, 3)
+            top = rng.randint(1, 3) if trial % 2 else 1
             while True:
-                matrix = [[rng.randint(-4, 4) for _ in range(cols)]
-                          for _ in range(rows_n)]
+                matrix = [[Fraction(rng.randint(-4, 4), rng.randint(1, top))
+                           for _ in range(cols)] for _ in range(rows_n)]
                 if matrix_rank(matrix) == cols:
                     break
             template = SolveTemplate(matrix)
+            # On the span: an integral right-hand side with known solution.
             x = [rng.randint(-3, 3) for _ in range(cols)]
             rhs = [sum(row[j] * x[j] for j in range(cols)) for row in matrix]
-            assert template.solve(rhs) == tuple(Fraction(v) for v in x)
-            if rows_n > cols:
-                bad = list(rhs)
-                bad[-1] += 1
-                expected = solve_exact(matrix, bad)
-                assert template.solve(bad) == expected
+            scale = lcm(*(v.denominator for v in rhs), 1)
+            on_span = [int(v * scale) for v in rhs]
+            assert template_solve(template, on_span) == tuple(
+                Fraction(v * scale) for v in x)
+            # Arbitrary and nudged right-hand sides, mostly off the span
+            # when the system is overdetermined.
+            nudged = list(on_span)
+            nudged[-1] += 1
+            for z in ([rng.randint(-5, 5) for _ in range(rows_n)], nudged):
+                assert template_solve(template, z) == solve_exact(matrix, z)
+            if rows_n == cols:
+                # Square: denom is the least common denominator of the
+                # inverse, whose columns solve against the unit vectors.
+                inverse = [solve_exact(matrix, [int(i == j)
+                                                for j in range(rows_n)])
+                           for i in range(rows_n)]
+                assert template.denom == lcm(
+                    *(v.denominator for col in inverse for v in col))
+                assert template.residual_rows == ()
 
     def test_rank_deficient(self):
         with pytest.raises(ValueError):
@@ -93,32 +117,58 @@ class TestSolveTemplate:
 
 
 class TestIntegerLattice:
-    def test_kernel_annihilates(self):
+    """The lattice basis of a cone's span, as ConeBasis._reduced reads it
+    from the solve template's echelon pass."""
+
+    @staticmethod
+    def span_coordinates(span, z):
+        return solve_exact([[v[c] for v in span] for c in range(len(z))], z)
+
+    def test_span_basis_random(self):
         rng = random.Random(3)
-        for _ in range(20):
-            m, n = rng.randint(1, 3), rng.randint(2, 5)
-            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-            kernel = integer_kernel(rows)
-            assert len(kernel) == n - matrix_rank(rows)
-            for vec in kernel:
-                assert all(sum(r[c] * vec[c] for c in range(n)) == 0
-                           for r in rows)
+        for n in (3, 4, 5):
+            # Entries within the box radius keep each generator's
+            # primitive vector inside the box.
+            radius = 2 if n < 5 else 1
+            checked = 0
+            while checked < 8:
+                d = rng.randint(1, n - 1)
+                gens = [[rng.randint(-radius, radius) for _ in range(n)]
+                        for _ in range(d)]
+                if matrix_rank(gens) < d:
+                    continue
+                inner, span = ConeBasis(gens)._reduced
+                assert len(span) == d
+                for g, y in zip(gens, inner.generators):
+                    assert [sum(y[j] * span[j][c] for j in range(d))
+                            for c in range(n)] == g
+                gen_matrix = [[g[c] for g in gens] for c in range(n)]
+                in_span = 0
+                box = range(-radius, radius + 1)
+                for z in itertools.product(box, repeat=n):
+                    if solve_exact(gen_matrix, z) is None:
+                        continue
+                    coords = self.span_coordinates(span, z)
+                    assert coords is not None
+                    assert all(x.denominator == 1 for x in coords)
+                    in_span += 1
+                assert in_span > 1
+                checked += 1
 
     def test_span_basis_even_sublattice(self):
-        basis = span_lattice_basis([(2, 0, 0), (0, 2, 0)])
+        _, span = ConeBasis([(2, 0, 0), (0, 2, 0)])._reduced
         # span is the xy-plane; its integer points include the unit vectors
-        template = SolveTemplate([[b[c] for b in basis] for c in range(3)])
         for target in ((1, 0, 0), (0, 1, 0), (3, -2, 0)):
-            coords = template.solve(target)
+            coords = self.span_coordinates(span, target)
             assert coords is not None
             assert all(c.denominator == 1 for c in coords)
-        assert template.solve((0, 0, 1)) is None
+        assert self.span_coordinates(span, (0, 0, 1)) is None
 
     def test_span_basis_skew(self):
-        basis = span_lattice_basis([(1, 2, 3)])
-        assert len(basis) == 1
+        _, span = ConeBasis([(1, 2, 3)])._reduced
+        assert len(span) == 1
         # the primitive vector along the line
-        assert basis[0] in ((1, 2, 3), (-1, -2, -3))
+        assert span[0] in ((1, 2, 3), (-1, -2, -3))
 
 
 class TestPolynomial:
