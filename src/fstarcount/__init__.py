@@ -1,27 +1,54 @@
 """Exact lattice-point counting for simplices and partial simplicial
-complexes, through atomic-point enumeration in simplicial cones."""
+complexes, through atomic-point enumeration in simplicial cones.
 
-from .bases import (FStarVector, HStarVector, eval_fstar, fstar_from_poly,
-                    fstar_pad, hstar_from_poly, hstar_fstar_identity_check,
-                    poly_from_fstar, poly_from_hstar)
-from .coloring import (ColoringComplexFaces, Hypergraph,
-                       coloring_complex_faces, coloring_complex_fvector,
-                       coloring_complex_hstar, edge_chain_faces,
-                       improper_vertex_set, realize_coloring_complex)
-from .cones import (AtomicPoint, CoefficientVector, ConeBasis,
-                    PartitionReport, atomic_inductive_oracle, coefficients_of,
-                    enumerate_atomic, is_atomic, parallelepiped_points,
-                    skew_parts, skew_parts_vector, verify_partition)
-from .exact import (IntVector, Polynomial, RatMatrix, Rational, RatVector,
-                    binomial_poly, gen_binomial, solve_exact)
-from .rational import (AtomicHeightProfile, EhrhartQuasiPolynomial,
-                       count_via_profile, mixed_profile, quasi_eval,
-                       residue_fstar, restricted_partition)
-from .simplices import (OpenComplex, Simplex, count_points,
-                        count_points_complex, f_vector, fstar_complex,
-                        fstar_interpolate, fstar_simplex, h_vector,
-                        homogenize, hstar_simplex, is_unimodular,
-                        lattice_points, open_faces, realize_fstar_complex,
-                        verify_disjoint)
+Every public name is exported lazily (PEP 562): importing the package
+loads no submodule, and the first access of a name imports the module
+that owns it and keeps the object in the package namespace.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+_EXPORTS = {
+    "bases": ("FStarVector", "HStarVector", "eval_fstar", "fstar_from_poly",
+              "fstar_pad", "hstar_from_poly", "hstar_fstar_identity_check",
+              "poly_from_fstar", "poly_from_hstar"),
+    "coloring": ("ColoringComplexFaces", "Hypergraph",
+                 "coloring_complex_faces", "coloring_complex_fvector",
+                 "coloring_complex_hstar", "edge_chain_faces",
+                 "improper_vertex_set", "realize_coloring_complex"),
+    "cones": ("AtomicPoint", "CoefficientVector", "ConeBasis",
+              "PartitionReport", "atomic_inductive_oracle", "coefficients_of",
+              "enumerate_atomic", "is_atomic", "parallelepiped_points",
+              "skew_parts", "skew_parts_vector", "verify_partition"),
+    "exact": ("IntVector", "Polynomial", "RatMatrix", "Rational", "RatVector",
+              "binomial_poly", "gen_binomial", "solve_exact"),
+    "rational": ("AtomicHeightProfile", "EhrhartQuasiPolynomial",
+                 "count_via_profile", "mixed_profile", "quasi_eval",
+                 "residue_fstar", "restricted_partition"),
+    "simplices": ("OpenComplex", "Simplex", "count_points",
+                  "count_points_complex", "f_vector", "fstar_complex",
+                  "fstar_interpolate", "fstar_simplex", "h_vector",
+                  "homogenize", "hstar_simplex", "is_unimodular",
+                  "lattice_points", "open_faces", "realize_fstar_complex",
+                  "verify_disjoint"),
+}
+
+# Public name -> owning submodule; a submodule's own name maps to itself.
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in (module, *names)}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    owner = _OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{owner}")
+    value = module if name == owner else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

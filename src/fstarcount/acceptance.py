@@ -38,6 +38,13 @@ TRIPLE_EDGE_HYPERGRAPH = {
 }
 
 
+def _check(ok: bool, detail) -> None:
+    """Raise AssertionError(detail) unless ok.  Unlike a bare assert,
+    this check also runs under python -O."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 def _random_cone(rng: random.Random) -> ConeBasis:
     while True:
         d = rng.choice((1, 2, 3))
@@ -114,11 +121,11 @@ def criterion_1() -> str:
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             code = cli.run(["coloring-complex", "--hypergraph", path])
-    assert code == 0, f"exit code {code}"
+    _check(code == 0, f"exit code {code}")
     payload = json.loads(buffer.getvalue())
-    assert payload["hstar"] == ["-4", "102", "168", "94"], payload
-    assert payload["fstar"] == ["86", "450", "720", "360"], payload
-    assert all(int(x) >= 0 for x in payload["fstar"])
+    _check(payload["hstar"] == ["-4", "102", "168", "94"], payload)
+    _check(payload["fstar"] == ["86", "450", "720", "360"], payload)
+    _check(all(int(x) >= 0 for x in payload["fstar"]), payload)
     return "h*=(-4,102,168,94), f*=(86,450,720,360) non-negative"
 
 
@@ -126,17 +133,17 @@ def criterion_2() -> str:
     """Per-sphere and two-point pieces of the coloring computation."""
     single = Hypergraph(10, (frozenset(range(1, 7)),))
     f = coloring_complex_fvector(single)
-    assert f == (30, 150, 240, 120), f
+    _check(f == (30, 150, 240, 120), f)
     _, hstar = coloring_complex_hstar(single)
-    assert hstar.entries == (0, 30, 60, 30), hstar
+    _check(hstar.entries == (0, 30, 60, 30), hstar)
     two_point = Hypergraph(3, (frozenset({1, 2}),))
     f2 = coloring_complex_fvector(two_point)
-    assert f2 == (2,), f2
+    _check(f2 == (2,), f2)
     fstar2, _ = coloring_complex_hstar(two_point)
     poly = poly_from_fstar(fstar2)
-    assert poly == Polynomial((2,))
+    _check(poly == Polynomial((2,)), poly)
     h3 = hstar_from_poly(poly, 3)
-    assert h3.entries == (2, -6, 6, -2), h3
+    _check(h3.entries == (2, -6, 6, -2), h3)
     return "sphere f=(30,150,240,120), h*=(0,30,60,30); 2 points: (2,-6,6,-2)"
 
 
@@ -150,7 +157,7 @@ def criterion_3() -> str:
             for k in range(1, 9):
                 got = count_points_complex(piece, k)
                 want = gen_binomial(k + d - i, d)
-                assert got == want, (d, i, k, got, want)
+                _check(got == want, (d, i, k, got, want))
                 checks += 1
     return f"{checks} count identities ({time.time() - start:.1f}s)"
 
@@ -165,7 +172,7 @@ def criterion_4() -> str:
     points = 0
     for basis in bases:
         report = verify_partition(basis, basis.dim + 2)
-        assert report.passed, (basis, report.violations[:3])
+        _check(report.passed, (basis, report.violations[:3]))
         points += report.points_checked
     return (f"{len(bases)} cones, {points} covered points "
             f"({time.time() - start:.1f}s)")
@@ -177,12 +184,12 @@ def criterion_5() -> str:
     for simplex in corpus:
         left = fstar_simplex(simplex)
         right = fstar_interpolate(simplex)
-        assert left == right, (simplex, left, right)
+        _check(left == right, (simplex, left, right))
     segment = Simplex([(0,), (2,)], is_open=True)
-    assert fstar_simplex(segment).entries == (1, 2)
+    _check(fstar_simplex(segment).entries == (1, 2), segment)
     for d in (1, 2, 3):
         entries = fstar_simplex(_standard_simplex(d, open_=True)).entries
-        assert entries == (0,) * d + (1,), entries
+        _check(entries == (0,) * d + (1,), entries)
     return f"two routes agree on {len(corpus)} simplices + worked examples"
 
 
@@ -196,8 +203,9 @@ def criterion_6() -> str:
         faces = open_faces([ids], coords)
         converted = hstar_from_poly(
             poly_from_fstar(fstar_complex(faces)), simplex.dim)
-        assert direct.entries == converted.entries, (simplex, direct, converted)
-        assert all(e >= 0 for e in direct.entries), (simplex, direct)
+        _check(direct.entries == converted.entries,
+               (simplex, direct, converted))
+        _check(all(e >= 0 for e in direct.entries), (simplex, direct))
     return f"two h* routes agree and are non-negative on {len(corpus)} simplices"
 
 
@@ -205,17 +213,17 @@ def criterion_7() -> str:
     """Residue-class f* of rational simplices matches brute force."""
     half = Simplex([(0,), (Fraction(1, 2),)], is_open=True)
     qp = residue_fstar(half, 2)
-    assert [f.entries for f in qp.residue_fstar] == [(0, 1), (0, 1)], qp
+    _check([f.entries for f in qp.residue_fstar] == [(0, 1), (0, 1)], qp)
     for h in range(1, 21):
-        assert quasi_eval(qp, h) == count_points(half, h), h
+        _check(quasi_eval(qp, h) == count_points(half, h), h)
     checks = 0
     for simplex in rational_corpus():
         m = _simplex_period(simplex)
         qp = residue_fstar(simplex, m)
         for f in qp.residue_fstar:
-            assert f.is_nonnegative_integral(), (simplex, f)
+            _check(f.is_nonnegative_integral(), (simplex, f))
         for h in range(1, 4 * m * (simplex.dim + 1) + 1):
-            assert quasi_eval(qp, h) == count_points(simplex, h), (simplex, h)
+            _check(quasi_eval(qp, h) == count_points(simplex, h), (simplex, h))
             checks += 1
     return f"residues (0,1),(0,1) for (0,1/2); {checks} corpus evaluations"
 
@@ -224,18 +232,18 @@ def criterion_8() -> str:
     """Mixed-height profile counting and restricted partition values."""
     half = Simplex([(0,), (Fraction(1, 2),)], is_open=True)
     profile, heights = mixed_profile(half)
-    assert heights == (1, 2) and dict(profile.counts) == {(1, 3): 1}, profile
+    _check(heights == (1, 2) and dict(profile.counts) == {(1, 3): 1}, profile)
     for k in range(1, 21):
-        assert count_via_profile(half, k) == count_points(half, k), k
+        _check(count_via_profile(half, k) == count_points(half, k), k)
     for simplex in rational_corpus():
         for k in range(1, 21):
             got = count_via_profile(simplex, k)
             want = count_points(simplex, k)
-            assert got == want, (simplex, k, got, want)
-    assert restricted_partition((1, 2), 4) == 3
+            _check(got == want, (simplex, k, got, want))
+    _check(restricted_partition((1, 2), 4) == 3, ((1, 2), 4))
     for weights in ((1,), (2,), (3, 5), (2, 2), (7, 11, 13)):
-        assert restricted_partition(weights, 0) == 1
-    assert restricted_partition((2, 2), 3) == 0
+        _check(restricted_partition(weights, 0) == 1, weights)
+    _check(restricted_partition((2, 2), 3) == 0, ((2, 2), 3))
     return "profile c_{1,3}=1 for (0,1/2); counts match brute force"
 
 
@@ -249,17 +257,17 @@ def criterion_9() -> str:
         p = Polynomial(coeffs)
         d = max(p.degree, 0) + rng.randint(0, 2)
         f = fstar_from_poly(p, d)
-        assert poly_from_fstar(f) == p
-        assert fstar_from_poly(poly_from_fstar(f), d) == f
+        _check(poly_from_fstar(f) == p, (p, d))
+        _check(fstar_from_poly(poly_from_fstar(f), d) == f, (p, d))
         h = hstar_from_poly(p, d)
-        assert poly_from_hstar(h) == p
+        _check(poly_from_hstar(h) == p, (p, d))
         d2 = max(p.degree, 0) + rng.randint(0, 2)
         f2 = fstar_from_poly(p, d2)
         keep = min(d, d2) + 1
-        assert f.entries[:keep] == f2.entries[:keep], (p, d, d2)
+        _check(f.entries[:keep] == f2.entries[:keep], (p, d, d2))
     two = Polynomial((2,))
     h1, h3 = hstar_from_poly(two, 1), hstar_from_poly(two, 3)
-    assert h1.entries[:2] != h3.entries[:2], "h* unexpectedly stable"
+    _check(h1.entries[:2] != h3.entries[:2], "h* unexpectedly stable")
     produced = [
         fstar_simplex(_standard_simplex(2, open_=True)),
         fstar_simplex(Simplex([(0,), (2,)], is_open=True)),
@@ -270,7 +278,7 @@ def criterion_9() -> str:
     produced += [f for s in rational_corpus()[:4]
                  for f in residue_fstar(s, _simplex_period(s)).residue_fstar]
     for f in produced:
-        assert hstar_fstar_identity_check(f), f
+        _check(hstar_fstar_identity_check(f), f)
     return f"200 round trips; identity holds on {len(produced)} system vectors"
 
 
@@ -285,7 +293,7 @@ def criterion_10() -> str:
             rng.shuffle(order)
             permuted = ConeBasis([basis.generators[i] for i in order])
             shuffled = sorted(a.level for a in enumerate_atomic(permuted))
-            assert shuffled == profile, (basis, order)
+            _check(shuffled == profile, (basis, order))
     return "level profiles stable over 20 cones x 5 permutations"
 
 

@@ -5,6 +5,11 @@ keys, numbers as strings) on stdout, or aligned text with
 --format table.  Exit codes: 0 success, 1 bad input, 2 a verification
 or self-test failure (so CI can tell bad data from a broken
 counting invariant).
+
+Each subcommand imports the modules it uses inside its handler, so a
+call loads only those: `coloring-complex` never loads the cone or
+simplex code, and only `complex-fstar --parallel` loads the process
+pool.
 """
 
 from __future__ import annotations
@@ -12,17 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from . import serialize
-from .bases import FStarVector
-from .rational import count_via_profile, mixed_profile, quasi_eval, \
-    residue_fstar, restricted_partition
-from .coloring import coloring_complex_fvector, coloring_complex_hstar
-from .cones import enumerate_atomic, verify_partition
-from .simplices import (Simplex, count_points, fstar_interpolate,
-                        fstar_simplex, hstar_simplex)
+
+if TYPE_CHECKING:
+    from .bases import FStarVector
+    from .simplices import Simplex
 
 
 class CliError(Exception):
@@ -34,20 +35,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse: Callable[[Any], Any]) -> Any:
+    """Read the JSON file at `path` and build an input from it with one
+    of the serialize parsers; a malformed document is a CliError."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            obj = json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from None
-
-
-def _load_simplex(path: str) -> Simplex:
     try:
-        return serialize.simplex_from_json(_load_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
+        return parse(obj)
+    except KeyError as exc:
+        raise CliError(f"{path}: missing key {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
@@ -89,13 +91,15 @@ def _cell(value) -> str:
 
 
 def _cmd_count(args) -> int:
-    simplex = _load_simplex(args.simplex)
+    from .simplices import count_points
+    simplex = _load(args.simplex, serialize.simplex_from_json)
     _emit({"count": str(count_points(simplex, args.dilate))}, args.format)
     return 0
 
 
 def _cmd_fstar(args) -> int:
-    simplex = _load_simplex(args.simplex)
+    from .simplices import fstar_interpolate, fstar_simplex
+    simplex = _load(args.simplex, serialize.simplex_from_json)
     if args.method == "interpolate":
         result = fstar_interpolate(simplex, args.ambient_degree)
     else:
@@ -107,13 +111,15 @@ def _cmd_fstar(args) -> int:
 
 
 def _cmd_hstar(args) -> int:
-    simplex = _load_simplex(args.simplex)
+    from .simplices import hstar_simplex
+    simplex = _load(args.simplex, serialize.simplex_from_json)
     _emit(serialize.hstar_to_json(hstar_simplex(simplex)), args.format)
     return 0
 
 
 def _cmd_atomic(args) -> int:
-    basis = serialize.generators_from_json(_load_json(args.generators))
+    from .cones import enumerate_atomic
+    basis = _load(args.generators, serialize.generators_from_json)
     points = enumerate_atomic(basis)
     rows = [dict(entry, height=point.height)
             for entry, point in
@@ -126,19 +132,22 @@ def _cmd_atomic(args) -> int:
 
 
 def _cmd_verify_partition(args) -> int:
-    basis = serialize.generators_from_json(_load_json(args.generators))
+    from .cones import verify_partition
+    basis = _load(args.generators, serialize.generators_from_json)
     report = verify_partition(basis, args.max_level)
     _emit(serialize.partition_report_to_json(report), args.format)
     return 0 if report.passed else 2
 
 
 def _fstar_cell(task: tuple[Simplex, int]) -> FStarVector:
+    from .simplices import fstar_simplex
     cell, degree = task
     return fstar_simplex(cell, degree)
 
 
 def _cmd_complex_fstar(args) -> int:
-    complex_ = serialize.complex_from_json(_load_json(args.complex))
+    from .bases import FStarVector
+    complex_ = _load(args.complex, serialize.complex_from_json)
     degree = args.ambient_degree
     if degree is None:
         degree = complex_.dim
@@ -146,6 +155,7 @@ def _cmd_complex_fstar(args) -> int:
         raise CliError("ambient degree too small for the complex")
     tasks = [(cell, degree) for cell in complex_.cells]
     if args.parallel and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
             parts = list(pool.map(_fstar_cell, tasks, chunksize=8))
     else:
@@ -159,20 +169,23 @@ def _cmd_complex_fstar(args) -> int:
 
 
 def _cmd_rational_fstar(args) -> int:
-    simplex = _load_simplex(args.simplex)
+    from .rational import residue_fstar
+    simplex = _load(args.simplex, serialize.simplex_from_json)
     qp = residue_fstar(simplex, args.period)
     _emit(serialize.quasipolynomial_to_json(qp), args.format)
     return 0
 
 
 def _cmd_quasi_eval(args) -> int:
-    simplex = _load_simplex(args.simplex)
+    from .rational import quasi_eval, residue_fstar
+    simplex = _load(args.simplex, serialize.simplex_from_json)
     qp = residue_fstar(simplex, args.period)
     _emit({"count": str(quasi_eval(qp, args.height))}, args.format)
     return 0
 
 
 def _cmd_partition_count(args) -> int:
+    from .rational import restricted_partition
     try:
         weights = [int(w) for w in args.weights.split(",") if w]
     except ValueError:
@@ -183,7 +196,8 @@ def _cmd_partition_count(args) -> int:
 
 
 def _cmd_profile_count(args) -> int:
-    simplex = _load_simplex(args.simplex)
+    from .rational import count_via_profile, mixed_profile
+    simplex = _load(args.simplex, serialize.simplex_from_json)
     profile, heights = mixed_profile(simplex)
     table = [{"level": i + 1, "height": s, "count": c}
              for (i, s), c in sorted(profile.counts.items())]
@@ -197,7 +211,8 @@ def _cmd_profile_count(args) -> int:
 
 
 def _cmd_coloring_complex(args) -> int:
-    graph = serialize.hypergraph_from_json(_load_json(args.hypergraph))
+    from .coloring import coloring_complex_fvector, coloring_complex_hstar
+    graph = _load(args.hypergraph, serialize.hypergraph_from_json)
     f = coloring_complex_fvector(graph)
     fstar, hstar = coloring_complex_hstar(graph)
     payload = {

@@ -14,10 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .bases import (FStarVector, HStarVector, hstar_from_poly,
                     poly_from_fstar)
-from .simplices import OpenComplex, Simplex
+
+if TYPE_CHECKING:
+    from .simplices import OpenComplex
 
 Vertex = tuple[int, ...]
 Face = frozenset
@@ -121,6 +124,7 @@ def coloring_complex_hstar(graph: Hypergraph,
 def realize_coloring_complex(graph: Hypergraph) -> OpenComplex:
     """Geometric realization: each chain face as the open simplex on its
     0/1 vectors, suitable for direct lattice counting."""
+    from .simplices import OpenComplex, Simplex
     faces = coloring_complex_faces(graph).faces
     cells = [Simplex(tuple(sorted(face)), is_open=True)
              for face in sorted(faces, key=lambda fc: (len(fc), sorted(fc)))]

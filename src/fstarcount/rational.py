@@ -67,6 +67,8 @@ def residue_fstar(simplex: Simplex, period: int) -> EhrhartQuasiPolynomial:
     """
     if not simplex.is_open:
         raise ValueError("simplex must be open")
+    if period < 1:
+        raise ValueError("period must be positive")
     basis = homogenize(simplex, period)  # raises if the period is no good
     d = simplex.dim
     buckets = [[Fraction(0)] * (d + 1) for _ in range(period)]

@@ -3,18 +3,23 @@
 Numbers travel as strings: a rational is "p/q" with q > 0 in lowest
 terms, or just "p" when the denominator is 1, so round-trips are
 bit-exact.  Inputs accept plain JSON integers as well.
+
+Each parser imports the type it builds when it runs, so loading this
+module loads only `bases` and `exact`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .bases import FStarVector, HStarVector
-from .cones import AtomicPoint, ConeBasis, PartitionReport
-from .coloring import Hypergraph
-from .rational import EhrhartQuasiPolynomial
-from .simplices import OpenComplex, Simplex, open_faces
+
+if TYPE_CHECKING:
+    from .coloring import Hypergraph
+    from .cones import AtomicPoint, ConeBasis, PartitionReport
+    from .rational import EhrhartQuasiPolynomial
+    from .simplices import OpenComplex, Simplex
 
 
 def rational_to_str(x) -> str:
@@ -56,6 +61,7 @@ def simplex_to_json(s: Simplex) -> dict:
 
 
 def simplex_from_json(obj: Mapping) -> Simplex:
+    from .simplices import Simplex
     openness = obj.get("openness", "closed")
     if openness not in ("open", "closed"):
         raise ValueError('openness must be "open" or "closed"')
@@ -65,6 +71,7 @@ def simplex_from_json(obj: Mapping) -> Simplex:
 
 
 def complex_from_json(obj: Mapping) -> OpenComplex:
+    from .simplices import OpenComplex, open_faces
     if "cells" in obj:
         cells = tuple(simplex_from_json(c) for c in obj["cells"])
         if any(not cell.is_open for cell in cells):
@@ -80,6 +87,7 @@ def complex_from_json(obj: Mapping) -> OpenComplex:
 
 
 def generators_from_json(obj: Mapping) -> ConeBasis:
+    from .cones import ConeBasis
     return ConeBasis([[int_from_obj(x) for x in g]
                       for g in obj["generators"]])
 
@@ -130,6 +138,7 @@ def quasipolynomial_to_json(qp: EhrhartQuasiPolynomial) -> dict:
 
 
 def quasipolynomial_from_json(obj: Mapping) -> EhrhartQuasiPolynomial:
+    from .rational import EhrhartQuasiPolynomial
     period = int(obj["period"])
     degree = int(obj["ambient_degree"])
     vectors: list = [None] * period
@@ -143,6 +152,7 @@ def quasipolynomial_from_json(obj: Mapping) -> EhrhartQuasiPolynomial:
 
 
 def hypergraph_from_json(obj: Mapping) -> Hypergraph:
+    from .coloring import Hypergraph
     return Hypergraph(int(obj["vertices"]),
                       tuple(frozenset(int(v) for v in e)
                             for e in obj["edges"]))

@@ -1,6 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import fstarcount
 from fstarcount import cli
+
+SRC = str(Path(fstarcount.__file__).resolve().parent.parent)
 
 OPEN_STD2 = {
     "vertices": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
@@ -220,9 +229,10 @@ def test_selftest_prints_one_line_per_criterion(capsys):
 
 
 def test_failed_verification_exits_two(tmp_path, capsys, monkeypatch):
+    from fstarcount import cones
     from fstarcount.cones import PartitionReport
     monkeypatch.setattr(
-        cli, "verify_partition",
+        cones, "verify_partition",
         lambda basis, max_level: PartitionReport(
             passed=False, max_level=max_level, points_checked=1,
             atomic_count=0, violations=(((1, 1), 0),)))
@@ -241,3 +251,72 @@ def test_atomic_table_format(tmp_path, capsys):
     assert code == 0
     assert "height" in out and "lambda" in out
     assert "1/2" in out
+
+
+def _python(code, *argv):
+    """Run `code` in a fresh interpreter that imports fstarcount from the
+    tree under test."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("command,flag,payload", [
+    ("atomic", "--generators", {"generators": 5}),
+    ("complex-fstar", "--complex", {"cells": [{"vertices": 7}]}),
+    ("complex-fstar", "--complex",
+     {"facets": [[0, 1]], "coords": {"0": [0]}}),
+    ("fstar", "--simplex", [[0], [1]]),
+    ("complex-fstar", "--complex", {"facets": [[0]], "coords": [[0]]}),
+], ids=["generators-not-a-list", "cell-vertices-not-a-list",
+        "facet-vertex-without-coords", "simplex-not-an-object",
+        "coords-not-an-object"])
+def test_malformed_input_is_one_error_line(tmp_path, command, flag,
+                                           payload):
+    path = write(tmp_path, "input.json", payload)
+    proc = _python("from fstarcount.cli import main; main()",
+                   command, flag, path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {path}: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_rational_fstar_period_must_be_positive(tmp_path, capsys):
+    path = write(tmp_path, "s.json", HALF_SEGMENT)
+    code = cli.run(["rational-fstar", "--simplex", path, "--period", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: period must be positive\n"
+
+
+MODULES_LOADED = """
+import contextlib, io, json, sys
+from fstarcount import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "concurrent.futures"
+                               or m.split(".")[0] == "fstarcount")]))
+"""
+
+_CORE = ["fstarcount", "fstarcount.bases", "fstarcount.cli",
+         "fstarcount.exact", "fstarcount.serialize"]
+_SIMPLICES = ["fstarcount.cones", "fstarcount.simplices"]
+
+
+@pytest.mark.parametrize("argv,payload,loaded", [
+    (["coloring-complex", "--hypergraph"], TRIPLE_EDGE_HYPERGRAPH,
+     _CORE + ["fstarcount.coloring"]),
+    (["count", "--dilate", "3", "--simplex"], OPEN_STD2, _CORE + _SIMPLICES),
+    (["fstar", "--simplex"], OPEN_STD2, _CORE + _SIMPLICES),
+    (["rational-fstar", "--period", "2", "--simplex"], HALF_SEGMENT,
+     _CORE + _SIMPLICES + ["fstarcount.rational"]),
+], ids=["coloring-complex", "count", "fstar", "rational-fstar"])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, payload, loaded):
+    path = write(tmp_path, "input.json", payload)
+    proc = _python(MODULES_LOADED, *argv, path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, sorted(loaded)]

@@ -74,6 +74,11 @@ class TestResidueFstar:
         with pytest.raises(ValueError, match="denominators"):
             residue_fstar(Simplex([(0,), (Fraction(1, 3),)], True), 2)
 
+    def test_period_must_be_positive(self):
+        for period in (0, -2):
+            with pytest.raises(ValueError, match="period must be positive"):
+                residue_fstar(HALF_SEGMENT, period)
+
     def test_closed_rejected(self):
         with pytest.raises(ValueError, match="open"):
             residue_fstar(Simplex([(0,), (Fraction(1, 2),)]), 2)
