@@ -19,7 +19,7 @@ _EXPORTS = {
     "cones": ("AtomicPoint", "CoefficientVector", "ConeBasis",
               "PartitionReport", "atomic_inductive_oracle", "coefficients_of",
               "enumerate_atomic", "is_atomic", "parallelepiped_points",
-              "skew_parts", "skew_parts_vector", "verify_partition"),
+              "verify_partition"),
     "exact": ("IntVector", "Polynomial", "RatMatrix", "Rational", "RatVector",
               "binomial_poly", "gen_binomial", "solve_exact"),
     "rational": ("AtomicHeightProfile", "EhrhartQuasiPolynomial",

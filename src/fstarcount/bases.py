@@ -9,15 +9,27 @@ expansions
 
 where C is the generalized binomial coefficient.  The f* coefficients do
 not change when d grows (padding with zeros), the h* coefficients do.
+
+Both expansions are read off values of p, with no linear solve:
+
+    fstar_i = (Delta^i p)(1)                  (Newton's forward differences,
+                                               Delta p(k) = p(k+1) - p(k))
+    hstar_i = sum_{j<=i} (-1)^j C(d+1, j) p(i-j)
+
+The h* formula holds because sum_{k>=0} C(k+d-i, d) z^k = z^i / (1-z)^(d+1),
+so sum_i hstar_i z^i is the series (1-z)^(d+1) sum_{k>=0} p(k) z^k, a
+polynomial of degree at most d; its first d+1 coefficients are the sums
+above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from typing import Sequence
 
-from .exact import (Polynomial, RatVector, Scalar, binomial_poly,
-                    gen_binomial, solve_exact)
+from .exact import Polynomial, RatVector, Scalar, binomial_poly, gen_binomial
 
 
 @dataclass(frozen=True)
@@ -47,26 +59,22 @@ class HStarVector:
             raise ValueError("entry count must be ambient_degree + 1")
 
 
-def _coefficients_in_basis(p: Polynomial, basis: list[Polynomial],
-                           d: int) -> RatVector:
-    # Solve against basis evaluations at the sample points k = 1 .. d+1;
-    # both bases are bases of the degree-<=d polynomials, so the system
-    # is square and uniquely solvable.
-    points = range(1, d + 2)
-    matrix = [[b(k) for b in basis] for k in points]
-    rhs = [p(k) for k in points]
-    solution = solve_exact(matrix, rhs)
-    if solution is None:
-        raise AssertionError("basis change system must be consistent")
-    return solution
+def _forward_differences(values: Sequence[Scalar]) -> list[Scalar]:
+    """(Delta^i p)(1) for i = 0..d from the values p(1), ..., p(d+1): the
+    coefficients of p in the basis C(k-1, i)."""
+    row, out = list(values), []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
 
 
 def fstar_from_poly(p: Polynomial, d: int) -> FStarVector:
     """Expand p in the basis C(k-1, i), i = 0..d."""
     if d < p.degree:
         raise ValueError("ambient degree too small")
-    basis = [binomial_poly(-1, i) for i in range(d + 1)]
-    return FStarVector(_coefficients_in_basis(p, basis, d), d)
+    values = [p(k) for k in range(1, d + 2)]
+    return FStarVector(_forward_differences(values), d)
 
 
 def poly_from_fstar(f: FStarVector) -> Polynomial:
@@ -80,8 +88,10 @@ def hstar_from_poly(p: Polynomial, d: int) -> HStarVector:
     """Expand p in the basis C(k+d-i, d), i = 0..d."""
     if d < p.degree:
         raise ValueError("ambient degree too small")
-    basis = [binomial_poly(d - i, d) for i in range(d + 1)]
-    return HStarVector(_coefficients_in_basis(p, basis, d), d)
+    values = [p(k) for k in range(d + 1)]
+    return HStarVector([sum((-1) ** j * comb(d + 1, j) * values[i - j]
+                            for j in range(i + 1))
+                        for i in range(d + 1)], d)
 
 
 def poly_from_hstar(h: HStarVector) -> Polynomial:

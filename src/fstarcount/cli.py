@@ -2,9 +2,9 @@
 
 Inputs are JSON files (see serialize); output is canonical JSON (sorted
 keys, numbers as strings) on stdout, or aligned text with
---format table.  Exit codes: 0 success, 1 bad input, 2 a verification
-or self-test failure (so CI can tell bad data from a broken
-counting invariant).
+--format table.  Exit codes: 0 success, 1 bad input, 2 a failed
+verification, self-test or internal invariant check (so CI can tell
+bad data from a broken counting invariant).
 
 Each subcommand imports the modules it uses inside its handler, so a
 call loads only those: `coloring-complex` never loads the cone or
@@ -45,6 +45,9 @@ def _load(path: str, parse: Callable[[Any], Any]) -> Any:
         raise CliError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: expected a JSON object, "
+                       f"got {type(obj).__name__}")
     try:
         return parse(obj)
     except KeyError as exc:
@@ -285,12 +288,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except AssertionError as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

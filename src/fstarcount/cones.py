@@ -20,7 +20,6 @@ dimension run in a lattice basis of their span, from the same pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -87,23 +86,6 @@ def scan_constrained(bounds: Sequence[tuple[int, int]],
                 yield from descend(j + 1)
 
     yield from descend(0)
-
-
-def skew_parts(x: Scalar) -> tuple[int, Fraction]:
-    """Split x = whole + part with part in the half-open interval (0, 1].
-
-    Unlike floor/frac, integers split as x = (x-1) + 1.
-    """
-    x = Fraction(x)
-    if x.denominator == 1:
-        return int(x) - 1, Fraction(1)
-    whole = math.floor(x)
-    return whole, x - whole
-
-
-def skew_parts_vector(v: Sequence[Scalar]) -> tuple[IntVector, RatVector]:
-    parts = [skew_parts(x) for x in v]
-    return tuple(p[0] for p in parts), tuple(p[1] for p in parts)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Vectors are plain tuples: `IntVector = tuple[int, ...]` and
 
 One integer echelon pass (`_echelon`, a Hermite normal form) gives a
 `SolveTemplate` its rows and a cone the lattice basis of its span; the
-Fraction elimination `_rref` serves only the oracles `solve_exact` and
-`matrix_rank`.
+Fraction elimination `_rref` serves only `solve_exact` and
+`matrix_rank`, which no other module calls: they are the tests'
+independent references for the integer solver and the basis changes.
 """
 
 from __future__ import annotations

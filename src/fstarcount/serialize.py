@@ -11,7 +11,7 @@ module loads only `bases` and `exact`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .bases import FStarVector, HStarVector
 
@@ -172,14 +172,3 @@ def partition_report_to_json(report: PartitionReport) -> dict:
         "violations": [{"point": [str(x) for x in point], "covered": count}
                        for point, count in report.violations],
     }
-
-
-def json_ready(value: Any) -> Any:
-    """Recursively stringify Fractions so json.dumps can emit them."""
-    if isinstance(value, Fraction):
-        return rational_to_str(value)
-    if isinstance(value, dict):
-        return {k: json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
-    return value

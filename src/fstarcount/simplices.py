@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bases import FStarVector, HStarVector, fstar_pad
+from .bases import FStarVector, HStarVector, _forward_differences, fstar_pad
 from .cones import ConeBasis, enumerate_atomic, parallelepiped_points, \
     scan_constrained
 from .exact import IntVector, RatVector, Scalar, SolveTemplate, gen_binomial
@@ -143,19 +143,14 @@ def fstar_simplex(simplex: Simplex,
 def fstar_interpolate(simplex: Simplex,
                       ambient_degree: int | None = None) -> FStarVector:
     """Independent route to the f*-vector: brute-force counts at the
-    first ambient_degree+1 dilates, then a triangular solve."""
+    first ambient_degree+1 dilates, then their forward differences."""
     if not simplex.is_integral():
         raise ValueError("vertices must be integral")
     target = simplex.dim if ambient_degree is None else ambient_degree
     if target < simplex.dim:
         raise ValueError("ambient degree too small")
-    entries: list[Fraction] = []
-    for idx in range(target + 1):
-        k = idx + 1
-        value = count_points(simplex, k) - sum(
-            entries[j] * gen_binomial(k - 1, j) for j in range(idx))
-        entries.append(Fraction(value))
-    return FStarVector(tuple(entries), target)
+    counts = [count_points(simplex, k) for k in range(1, target + 2)]
+    return FStarVector(_forward_differences(counts), target)
 
 
 def hstar_simplex(simplex: Simplex) -> HStarVector:

@@ -7,7 +7,8 @@ from fstarcount.bases import (FStarVector, HStarVector, eval_fstar,
                               fstar_from_poly, fstar_pad, hstar_from_poly,
                               hstar_fstar_identity_check, poly_from_fstar,
                               poly_from_hstar)
-from fstarcount.exact import Polynomial, binomial_poly
+from fstarcount.exact import (Polynomial, binomial_poly, gen_binomial,
+                              solve_exact)
 
 
 def test_fstar_from_poly_examples():
@@ -66,6 +67,25 @@ def test_round_trips_random():
         assert poly_from_hstar(hstar_from_poly(p, d)) == p
         f = fstar_from_poly(p, d)
         assert fstar_from_poly(poly_from_fstar(f), d) == f
+
+
+def test_conversions_match_dense_solve():
+    """Pin both conversions to the Fraction solve they replaced: expand p
+    over each basis by solving its evaluation matrix at k = 1..d+1."""
+    rng = random.Random(7301)
+    for _ in range(120):
+        degree = rng.randint(0, 6)
+        p = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                        for _ in range(degree + 1)])
+        d = max(p.degree, 0) + rng.randint(0, 6 - max(p.degree, 0))
+        points = range(1, d + 2)
+        values = [p(k) for k in points]
+        f_matrix = [[gen_binomial(k - 1, i) for i in range(d + 1)]
+                    for k in points]
+        h_matrix = [[gen_binomial(k + d - i, d) for i in range(d + 1)]
+                    for k in points]
+        assert fstar_from_poly(p, d).entries == solve_exact(f_matrix, values)
+        assert hstar_from_poly(p, d).entries == solve_exact(h_matrix, values)
 
 
 def test_conversion_paths_agree():

@@ -262,18 +262,19 @@ def _python(code, *argv):
                           capture_output=True, text=True, timeout=60)
 
 
-@pytest.mark.parametrize("command,flag,payload", [
-    ("atomic", "--generators", {"generators": 5}),
-    ("complex-fstar", "--complex", {"cells": [{"vertices": 7}]}),
+@pytest.mark.parametrize("command,flag,payload,detail", [
+    ("atomic", "--generators", {"generators": 5}, None),
+    ("complex-fstar", "--complex", {"cells": [{"vertices": 7}]}, None),
     ("complex-fstar", "--complex",
-     {"facets": [[0, 1]], "coords": {"0": [0]}}),
-    ("fstar", "--simplex", [[0], [1]]),
-    ("complex-fstar", "--complex", {"facets": [[0]], "coords": [[0]]}),
+     {"facets": [[0, 1]], "coords": {"0": [0]}}, None),
+    ("fstar", "--simplex", [[0], [1]], "expected a JSON object, got list"),
+    ("complex-fstar", "--complex", {"facets": [[0]], "coords": [[0]]},
+     None),
 ], ids=["generators-not-a-list", "cell-vertices-not-a-list",
         "facet-vertex-without-coords", "simplex-not-an-object",
         "coords-not-an-object"])
 def test_malformed_input_is_one_error_line(tmp_path, command, flag,
-                                           payload):
+                                           payload, detail):
     path = write(tmp_path, "input.json", payload)
     proc = _python("from fstarcount.cli import main; main()",
                    command, flag, path)
@@ -282,6 +283,29 @@ def test_malformed_input_is_one_error_line(tmp_path, command, flag,
     assert proc.stderr.startswith(f"error: {path}: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    if detail is not None:
+        assert proc.stderr == f"error: {path}: {detail}\n"
+
+
+def test_broken_invariant_exits_two(tmp_path, capsys, monkeypatch):
+    # atomic points whose heights are shifted past their level's residue
+    # classes trip residue_fstar's invariant check
+    from fstarcount import rational
+    from fstarcount.cones import AtomicPoint
+    original = rational.enumerate_atomic
+
+    def shifted(basis):
+        return [AtomicPoint(p.point[:-1] + (p.point[-1] + 100,),
+                            p.coefficients)
+                for p in original(basis)]
+
+    monkeypatch.setattr(rational, "enumerate_atomic", shifted)
+    path = write(tmp_path, "s.json", HALF_SEGMENT)
+    code = cli.run(["rational-fstar", "--simplex", path, "--period", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: invariant failed: atomic height "
+                            "outside its level's residues\n")
 
 
 def test_rational_fstar_period_must_be_positive(tmp_path, capsys):

@@ -6,8 +6,7 @@ import pytest
 from fstarcount.cones import (CoefficientVector, ConeBasis,
                               atomic_inductive_oracle, coefficients_of,
                               enumerate_atomic, is_atomic,
-                              parallelepiped_points, skew_parts,
-                              skew_parts_vector, verify_partition)
+                              parallelepiped_points, verify_partition)
 from fstarcount.simplices import Simplex, homogenize
 
 
@@ -20,28 +19,6 @@ def random_cone(rng, dims=(1, 2, 3), bound=4):
             return ConeBasis(gens)
         except ValueError:
             continue
-
-
-class TestSkewParts:
-    def test_examples(self):
-        assert skew_parts(Fraction(5, 2)) == (2, Fraction(1, 2))
-        assert skew_parts(3) == (2, 1)
-        assert skew_parts(0) == (-1, 1)
-        assert skew_parts(Fraction(-1, 2)) == (-1, Fraction(1, 2))
-
-    def test_defining_property_random(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            x = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-            whole, part = skew_parts(x)
-            assert whole + part == x
-            assert 0 < part <= 1
-            assert isinstance(whole, int)
-
-    def test_vector(self):
-        whole, part = skew_parts_vector((Fraction(5, 2), 3, 0))
-        assert whole == (2, 2, -1)
-        assert part == (Fraction(1, 2), 1, 1)
 
 
 class TestConeBasis:

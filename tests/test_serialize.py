@@ -98,12 +98,6 @@ def test_hypergraph_round_trip():
     assert again == graph
 
 
-def test_json_ready_nested():
-    data = {"a": Fraction(1, 2), "b": [Fraction(3), {"c": (Fraction(-1, 4),)}]}
-    assert serialize.json_ready(data) == {
-        "a": "1/2", "b": ["3", {"c": ["-1/4"]}]}
-
-
 def test_closed_cells_rejected():
     payload = {"cells": [{"vertices": [["0"], ["1"]], "openness": "closed"}]}
     with pytest.raises(ValueError, match="open"):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fstarcount.bases import eval_fstar, poly_from_fstar
+from fstarcount.bases import eval_fstar, fstar_pad, poly_from_fstar
 from fstarcount.simplices import (OpenComplex, Simplex, count_points,
                                   count_points_complex, f_vector,
                                   fstar_complex, fstar_interpolate,
@@ -15,6 +15,23 @@ from fstarcount.simplices import (OpenComplex, Simplex, count_points,
 STD2_CLOSED = Simplex([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 STD2_OPEN = STD2_CLOSED.as_open()
 REEVE = Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
+
+
+def random_integral_simplices(seed, count):
+    """Open and closed integral simplices, some of lower dimension than
+    their ambient space."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        d = rng.choice((1, 2, 3))
+        ambient = d + rng.choice((0, 0, 1))
+        verts = [tuple(rng.randint(-2, 2) for _ in range(ambient))
+                 for _ in range(d + 1)]
+        try:
+            found.append(Simplex(verts, is_open=rng.random() < 0.5))
+        except ValueError:
+            continue
+    return found
 
 
 class TestSimplexValidation:
@@ -120,6 +137,21 @@ class TestFStarInterpolate:
                 except ValueError:
                     continue
             assert fstar_simplex(simplex) == fstar_interpolate(simplex)
+
+    def test_counts_beyond_the_interpolation_nodes(self):
+        # fstar_interpolate reads only the dilates 1..d+1; the polynomial
+        # it returns must still give the brute-force count further out
+        for simplex in random_integral_simplices(4417, 12):
+            f = fstar_interpolate(simplex)
+            for k in range(1, simplex.dim + 5):
+                assert eval_fstar(f, k) == count_points(simplex, k), (
+                    simplex, k)
+
+    def test_higher_ambient_degree_is_padding(self):
+        for simplex in random_integral_simplices(4418, 12):
+            d = simplex.dim + 2
+            assert fstar_interpolate(simplex, d) == fstar_pad(
+                fstar_interpolate(simplex), d)
 
 
 class TestHStarSimplex:
