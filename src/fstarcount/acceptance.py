@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -24,7 +25,8 @@ from .bases import (fstar_from_poly, hstar_from_poly,
                     poly_from_hstar)
 from .coloring import Hypergraph, coloring_complex_fvector, \
     coloring_complex_hstar
-from .cones import ConeBasis, enumerate_atomic, verify_partition
+from .cones import (ConeBasis, coefficients_of, enumerate_atomic,
+                    verify_partition)
 from .exact import Polynomial, gen_binomial
 from .rational import (count_via_profile, mixed_profile, quasi_eval,
                        residue_fstar, restricted_partition)
@@ -169,6 +171,16 @@ def criterion_4() -> str:
     bases = [_random_cone(rng) for _ in range(100)]
     bases += [homogenize(_standard_simplex(d), 1) for d in range(0, 5)]
     bases += [homogenize(s, 1) for s in integral_corpus()]
+    # A partition check sees only the points its scan yields, so count
+    # them again on a few small cones (two through the span path) with a
+    # plain product over the bounding box of conv(0, 2 v_1, ..., 2 v_d).
+    for basis in bases[:8] + bases[100:102]:
+        box = [range(2 * min(0, *col), 2 * max(0, *col) + 1)
+               for col in zip(*basis.generators)]
+        found = (coefficients_of(basis, z) for z in itertools.product(*box))
+        want = sum(1 for c in found if c is not None and c.level <= 2)
+        got = verify_partition(basis, 2).points_checked
+        _check(got == want, (basis, got, want))
     points = 0
     for basis in bases:
         report = verify_partition(basis, basis.dim + 2)

@@ -14,8 +14,11 @@ point partitions the lattice points of the open cone.
 
 Enumeration works in scaled integer coordinates: with t = denom * lambda
 (an integer vector computed by a precomputed exact solve template) every
-membership test below is pure integer arithmetic.  Cones of lower
-dimension run in a lattice basis of their span, from the same pass.
+membership test below is pure integer arithmetic.  One scan,
+`_scan_scaled`, bounds t either to the half-open parallelepiped
+(0 <= t_i < denom) or to the open cone up to a level L (t_i >= 1,
+sum(t) <= L * denom); a cone of lower dimension runs it in a lattice
+basis of its span, from the same echelon pass, and maps each point back.
 """
 
 from __future__ import annotations
@@ -25,16 +28,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import IntVector, RatVector, Scalar, SolveTemplate
+from .exact import IntVector, RatVector, Scalar, SolveTemplate, dot
 
-Constraint = tuple[Sequence[int], Optional[int], Optional[int]]
+Constraint = tuple[Sequence[int], int, int]
 
 
 def scan_constrained(bounds: Sequence[tuple[int, int]],
                      constraints: Sequence[Constraint],
                      ) -> Iterator[tuple[IntVector, list[int]]]:
     """Enumerate integer points z of a box subject to linear constraints
-    lo <= coeffs . z <= hi (either bound may be None).
+    lo <= coeffs . z <= hi.
 
     Depth-first over coordinates with interval pruning: a branch is cut
     as soon as some constraint cannot be met by any completion.  Yields
@@ -44,7 +47,9 @@ def scan_constrained(bounds: Sequence[tuple[int, int]],
     n = len(bounds)
     if any(lo > hi for lo, hi in bounds):
         return
-    rows = [tuple(c[0]) for c in constraints]
+    rows = [tuple(row) for row, _, _ in constraints]
+    lowers = [lo for _, lo, _ in constraints]
+    uppers = [hi for _, _, hi in constraints]
     m = len(rows)
     # Suffix extremes of the possible contribution of coordinates j..n-1.
     suf_min = [[0] * m for _ in range(n + 1)]
@@ -57,11 +62,6 @@ def scan_constrained(bounds: Sequence[tuple[int, int]],
                 a, b = b, a
             suf_min[j][r] = suf_min[j + 1][r] + a
             suf_max[j][r] = suf_max[j + 1][r] + b
-    # Replace missing bounds with values that can never bind.
-    lowers = [suf_min[0][r] if constraints[r][1] is None else constraints[r][1]
-              for r in range(m)]
-    uppers = [suf_max[0][r] if constraints[r][2] is None else constraints[r][2]
-              for r in range(m)]
     point = [0] * n
     stack = [[0] * m for _ in range(n + 1)]
 
@@ -166,12 +166,6 @@ class ConeBasis:
     def __repr__(self) -> str:
         return f"ConeBasis({list(map(list, self.generators))!r})"
 
-    def _coefficient_constraints(self) -> tuple[list[Constraint], int]:
-        """Rows computing t = denom*lambda plus zero-residual rows."""
-        rows = [(row, None, None) for row in self.solver.rows]
-        rows += [(row, 0, 0) for row in self.solver.residual_rows]
-        return rows, len(self.solver.rows)
-
     @cached_property
     def _reduced(self) -> Optional[tuple["ConeBasis", tuple[IntVector, ...]]]:
         """For fewer generators than ambient dimensions: the same cone
@@ -198,73 +192,47 @@ def coefficients_of(basis: ConeBasis,
         Fraction(t, denom) for t in scaled)
 
 
-def _fundamental_box(basis: ConeBasis, scale: int) -> list[tuple[int, int]]:
-    # Bounding box of conv(0, scale*v_1, ..., scale*v_d).
-    bounds = []
-    for c in range(basis.ambient_dim):
-        coords = [g[c] for g in basis.generators]
-        bounds.append((min(0, scale * min(coords)),
-                       max(0, scale * max(coords))))
-    return bounds
-
-
-def _map_from_span(point: Sequence[int], span: Sequence[IntVector],
-                   ambient: int) -> IntVector:
-    return tuple(sum(point[j] * span[j][c] for j in range(len(point)))
-                 for c in range(ambient))
-
-
-def _cone_points_scaled(basis: ConeBasis, max_level: int,
-                        ) -> tuple[Iterator[tuple[IntVector, list[int]]], int]:
-    """Iterator over (point, values buffer) for the open-cone lattice
-    points with level <= max_level, plus the scaling denominator; the
-    first basis.dim buffer entries are denominator*coefficients.  The
-    buffer is reused between yields."""
+def _scan_scaled(basis: ConeBasis, max_level: Optional[int] = None,
+                 ) -> Iterator[tuple[IntVector, list[int]]]:
+    """(point, values) for the lattice points of the half-open
+    parallelepiped (max_level None) or of the open cone up to max_level,
+    with values[:d] = basis.solver.denom * lambda in a reused buffer."""
     reduced = basis._reduced
     if reduced is not None:
+        # Scan the span coordinates y and map back: z = sum_j y_j span_j.
         inner_basis, span = reduced
-        inner, denom = _cone_points_scaled(inner_basis, max_level)
-        n = basis.ambient_dim
-
-        def mapped() -> Iterator[tuple[IntVector, list[int]]]:
-            for y, vals in inner:
-                yield _map_from_span(y, span, n), vals
-
-        return mapped(), denom
+        span_rows = list(zip(*span))
+        return ((tuple(dot(y, row) for row in span_rows), values)
+                for y, values in _scan_scaled(inner_basis, max_level))
+    # Full-dimensional: no residual rows, one constraint per t_i.
     denom = basis.solver.denom
-    d = basis.dim
-    constraints, n_rows = basis._coefficient_constraints()
-    constraints = [(row, 1, max_level * denom)
-                   for row, _, _ in constraints[:n_rows]] + constraints[n_rows:]
-    sum_row = tuple(sum(col) for col in zip(*(r for r, _, _ in constraints[:d])))
-    constraints.append((sum_row, d, max_level * denom))
-    return (scan_constrained(_fundamental_box(basis, max_level), constraints),
-            denom)
+    columns = list(zip(*basis.generators))
+    if max_level is None:
+        # Bounding box of the parallelepiped: each coordinate lies
+        # between the sums of its negative and of its positive entries.
+        bounds = [(sum(x for x in col if x < 0), sum(x for x in col if x > 0))
+                  for col in columns]
+        constraints = [(row, 0, denom - 1) for row in basis.solver.rows]
+    else:
+        # Bounding box of conv(0, L v_1, ..., L v_d); the sum row keeps
+        # the level at most L.
+        top = max_level * denom
+        bounds = [(min(0, max_level * min(col)), max(0, max_level * max(col)))
+                  for col in columns]
+        constraints = [(row, 1, top) for row in basis.solver.rows]
+        sum_row = tuple(map(sum, zip(*basis.solver.rows)))
+        constraints.append((sum_row, basis.dim, top))
+    return scan_constrained(bounds, constraints)
 
 
 def _parallelepiped_scaled(basis: ConeBasis,
                            ) -> tuple[list[tuple[IntVector, list[int]]], int]:
     """Lattice points of {V lambda : 0 <= lambda_i < 1} with their scaled
     coefficient vectors, sorted by point, plus the scaling denominator."""
-    reduced = basis._reduced
-    if reduced is not None:
-        inner_basis, span = reduced
-        items, denom = _parallelepiped_scaled(inner_basis)
-        n = basis.ambient_dim
-        mapped = [(_map_from_span(y, span, n), t) for y, t in items]
-        mapped.sort(key=lambda item: item[0])
-        return mapped, denom
-    denom = basis.solver.denom
-    bounds = []
-    for c in range(basis.ambient_dim):
-        coords = [g[c] for g in basis.generators]
-        bounds.append((sum(x for x in coords if x < 0),
-                       sum(x for x in coords if x > 0)))
-    constraints, n_rows = basis._coefficient_constraints()
-    constraints = [(row, 0, denom - 1)
-                   for row, _, _ in constraints[:n_rows]] + constraints[n_rows:]
-    return ([(z, vals[:n_rows])
-             for z, vals in scan_constrained(bounds, constraints)], denom)
+    d = basis.dim
+    items = [(z, values[:d]) for z, values in _scan_scaled(basis)]
+    items.sort(key=lambda item: item[0])
+    return items, basis.solver.denom
 
 
 def parallelepiped_points(basis: ConeBasis) -> tuple[IntVector, ...]:
@@ -338,12 +306,12 @@ def atomic_inductive_oracle(basis: ConeBasis) -> tuple[AtomicPoint, ...]:
     each higher level keeps the points not reachable from a kept
     lower-level point by adding generators up to that point's level.
 
-    Test oracle for enumerate_atomic; scans the full bounding box.
+    Test oracle for enumerate_atomic; scans the open cone up to level d.
     """
     d = basis.dim
-    points, denom = _cone_points_scaled(basis, d)
+    denom = basis.solver.denom
     by_level: dict[int, list[tuple[IntVector, list[int]]]] = {}
-    for z, vals in points:
+    for z, vals in _scan_scaled(basis, d):
         t = vals[:d]
         total = sum(t)
         level = -((-total) // denom)
@@ -352,15 +320,13 @@ def atomic_inductive_oracle(basis: ConeBasis) -> tuple[AtomicPoint, ...]:
     for level in range(1, d + 1):
         new = []
         for z, t in by_level.get(level, ()):
-            reachable = False
             for _, t_low, level_low in kept:
                 diff = [a - b for a, b in zip(t, t_low)]
                 if (all(x == 0 for x in diff[level_low:])
                         and all(x >= 0 and x % denom == 0
                                 for x in diff[:level_low])):
-                    reachable = True
-                    break
-            if not reachable:
+                    break  # reachable from a kept lower-level point
+            else:
                 new.append((z, t, level))
         kept.extend(new)
     kept.sort(key=lambda item: item[0])
@@ -383,10 +349,9 @@ def verify_partition(basis: ConeBasis, max_level: int) -> PartitionReport:
     """Check, for every lattice point z of the open cone with level at
     most max_level, that exactly one atomic point a has
     z in a + discrete cone of the first lev(a) generators."""
+    if max_level < 1:
+        raise ValueError("max level must be positive")
     atomics, denom = _scaled_atomic(basis)
-    points, denom_points = _cone_points_scaled(basis, max_level)
-    if denom != denom_points:
-        raise AssertionError("atomic and cone scans must share a denominator")
     # Group by the componentwise remainder mod denom: translation by an
     # integer generator combination never changes it.
     groups: dict[tuple[int, ...], list[tuple[list[int], int]]] = {}
@@ -398,7 +363,7 @@ def verify_partition(basis: ConeBasis, max_level: int) -> PartitionReport:
     checked = 0
     violations = []
     d = basis.dim
-    for z, vals in points:
+    for z, vals in _scan_scaled(basis, max_level):
         checked += 1
         covers = 0
         key = tuple(vals[j] % denom for j in range(d))

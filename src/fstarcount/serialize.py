@@ -49,6 +49,18 @@ def int_from_obj(obj) -> int:
     return int(x)
 
 
+def _list(value, path: str, of_lists: bool = False) -> Sequence:
+    """`value` if it is a JSON list (of lists, with of_lists), else a
+    ValueError naming the field: "cells[0].vertices: expected a list"."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list, "
+                         f"got {type(value).__name__}")
+    if of_lists:
+        for i, item in enumerate(value):
+            _list(item, f"{path}[{i}]")
+    return value
+
+
 def vector_to_json(v: Sequence) -> list[str]:
     return [rational_to_str(x) for x in v]
 
@@ -61,27 +73,36 @@ def simplex_to_json(s: Simplex) -> dict:
 
 
 def simplex_from_json(obj: Mapping) -> Simplex:
+    return _simplex_from_json(obj, "")
+
+
+def _simplex_from_json(obj: Mapping, path: str) -> Simplex:
+    # path prefixes the field names in error messages, e.g. "cells[0]."
     from .simplices import Simplex
     openness = obj.get("openness", "closed")
     if openness not in ("open", "closed"):
         raise ValueError('openness must be "open" or "closed"')
     vertices = tuple(tuple(rational_from_obj(x) for x in v)
-                     for v in obj["vertices"])
+                     for v in _list(obj["vertices"], f"{path}vertices", True))
     return Simplex(vertices, is_open=(openness == "open"))
 
 
 def complex_from_json(obj: Mapping) -> OpenComplex:
     from .simplices import OpenComplex, open_faces
     if "cells" in obj:
-        cells = tuple(simplex_from_json(c) for c in obj["cells"])
+        cells = tuple(_simplex_from_json(c, f"cells[{i}].")
+                      for i, c in enumerate(_list(obj["cells"], "cells")))
         if any(not cell.is_open for cell in cells):
             raise ValueError("complex cells must be open")
         return OpenComplex(cells)
     if "facets" in obj:
-        coords = {key: tuple(rational_from_obj(x) for x in v)
+        coords = {key: tuple(rational_from_obj(x)
+                             for x in _list(v, f"coords.{key}"))
                   for key, v in obj["coords"].items()}
-        facets = [[str(i) for i in facet] for facet in obj["facets"]]
-        remove = [[str(i) for i in facet] for facet in obj.get("remove", [])]
+        facets = [[str(i) for i in facet]
+                  for facet in _list(obj["facets"], "facets", True)]
+        remove = [[str(i) for i in facet]
+                  for facet in _list(obj.get("remove", []), "remove", True)]
         return open_faces(facets, coords, remove)
     raise ValueError('complex JSON needs "cells" or "facets"')
 
@@ -89,7 +110,7 @@ def complex_from_json(obj: Mapping) -> OpenComplex:
 def generators_from_json(obj: Mapping) -> ConeBasis:
     from .cones import ConeBasis
     return ConeBasis([[int_from_obj(x) for x in g]
-                      for g in obj["generators"]])
+                      for g in _list(obj["generators"], "generators", True)])
 
 
 def generators_to_json(basis: ConeBasis) -> dict:
@@ -155,7 +176,7 @@ def hypergraph_from_json(obj: Mapping) -> Hypergraph:
     from .coloring import Hypergraph
     return Hypergraph(int(obj["vertices"]),
                       tuple(frozenset(int(v) for v in e)
-                            for e in obj["edges"]))
+                            for e in _list(obj["edges"], "edges", True)))
 
 
 def hypergraph_to_json(graph: Hypergraph) -> dict:

@@ -28,17 +28,42 @@ def _off_by_one(func):
     return wrapped
 
 
-@pytest.mark.parametrize("owner,name,check", [
-    ("bases", "fstar_from_poly", acceptance.criterion_9),
-    ("bases", "hstar_from_poly", acceptance.criterion_9),
-    ("simplices", "fstar_interpolate", acceptance.criterion_5),
-], ids=["fstar_from_poly", "hstar_from_poly", "fstar_interpolate"])
-def test_criterion_catches_an_off_by_one(owner, name, check, monkeypatch):
-    """A criterion that checks a conversion route must fail when that
-    route is wrong, wherever the route is looked up."""
+def _drop_first_open_cone_point(scan):
+    """scan with the first point of each open-cone scan dropped."""
+    def wrapped(basis, max_level=None):
+        points = scan(basis, max_level)
+        if max_level is not None:
+            next(points, None)
+        return points
+    return wrapped
+
+
+def _drop_last_point(parallelepiped):
+    """parallelepiped with the last of its points dropped."""
+    def wrapped(basis):
+        items, denom = parallelepiped(basis)
+        return items[:-1], denom
+    return wrapped
+
+
+@pytest.mark.parametrize("owner,name,sabotage,check", [
+    ("bases", "fstar_from_poly", _off_by_one, acceptance.criterion_9),
+    ("bases", "hstar_from_poly", _off_by_one, acceptance.criterion_9),
+    ("simplices", "fstar_interpolate", _off_by_one, acceptance.criterion_5),
+    ("cones", "_scan_scaled", _drop_first_open_cone_point,
+     acceptance.criterion_4),
+    ("cones", "_parallelepiped_scaled", _drop_last_point,
+     acceptance.criterion_4),
+], ids=["fstar_from_poly", "hstar_from_poly", "fstar_interpolate",
+        "_scan_scaled", "_parallelepiped_scaled"])
+def test_criterion_catches_an_off_by_one(owner, name, sabotage, check,
+                                         monkeypatch):
+    """A criterion that checks a route must fail when that route is
+    wrong, wherever the route is looked up."""
     module = importlib.import_module(f"fstarcount.{owner}")
-    wrong = _off_by_one(getattr(module, name))
+    wrong = sabotage(getattr(module, name))
     monkeypatch.setattr(module, name, wrong)
-    monkeypatch.setattr(acceptance, name, wrong)
+    if hasattr(acceptance, name):
+        monkeypatch.setattr(acceptance, name, wrong)
     with pytest.raises(AssertionError):
         check()

@@ -91,6 +91,18 @@ def test_complex_fstar(tmp_path, capsys):
     assert code == 0 and out["fstar"] == ["3", "3", "1"]
 
 
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_verify_partition_rejects_nonpositive_level(tmp_path, capsys, level):
+    # no point of the open cone has level <= 0, so the check would pass
+    # without looking at anything
+    path = write(tmp_path, "g.json", {"generators": [["0", "1"], ["2", "1"]]})
+    code = cli.run(["verify-partition", "--generators", path,
+                    "--max-level", level])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: max level must be positive\n"
+
+
 def test_rational_fstar(tmp_path, capsys):
     path = write(tmp_path, "s.json", HALF_SEGMENT)
     code, out = run_json(capsys, ["rational-fstar", "--simplex", path,
@@ -263,16 +275,30 @@ def _python(code, *argv):
 
 
 @pytest.mark.parametrize("command,flag,payload,detail", [
-    ("atomic", "--generators", {"generators": 5}, None),
-    ("complex-fstar", "--complex", {"cells": [{"vertices": 7}]}, None),
+    ("atomic", "--generators", {"generators": 5},
+     "generators: expected a list, got int"),
+    ("complex-fstar", "--complex", {"cells": [{"vertices": 7}]},
+     "cells[0].vertices: expected a list, got int"),
     ("complex-fstar", "--complex",
      {"facets": [[0, 1]], "coords": {"0": [0]}}, None),
     ("fstar", "--simplex", [[0], [1]], "expected a JSON object, got list"),
     ("complex-fstar", "--complex", {"facets": [[0]], "coords": [[0]]},
      None),
+    ("fstar", "--simplex", {"vertices": 7},
+     "vertices: expected a list, got int"),
+    ("fstar", "--simplex", {"vertices": [[0], 1]},
+     "vertices[1]: expected a list, got int"),
+    ("coloring-complex", "--hypergraph", {"vertices": 3, "edges": [5]},
+     "edges[0]: expected a list, got int"),
+    ("atomic", "--generators", {"generators": [[1, 0], 2]},
+     "generators[1]: expected a list, got int"),
+    ("complex-fstar", "--complex", {"facets": [0], "coords": {}},
+     "facets[0]: expected a list, got int"),
 ], ids=["generators-not-a-list", "cell-vertices-not-a-list",
         "facet-vertex-without-coords", "simplex-not-an-object",
-        "coords-not-an-object"])
+        "coords-not-an-object", "vertices-not-a-list",
+        "vertex-not-a-list", "edge-not-a-list", "generator-not-a-list",
+        "facet-not-a-list"])
 def test_malformed_input_is_one_error_line(tmp_path, command, flag,
                                            payload, detail):
     path = write(tmp_path, "input.json", payload)

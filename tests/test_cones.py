@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,13 +8,16 @@ from fstarcount.cones import (CoefficientVector, ConeBasis,
                               atomic_inductive_oracle, coefficients_of,
                               enumerate_atomic, is_atomic,
                               parallelepiped_points, verify_partition)
+from fstarcount.exact import solve_exact
 from fstarcount.simplices import Simplex, homogenize
 
 
-def random_cone(rng, dims=(1, 2, 3), bound=4):
+def random_cone(rng, dims=(1, 2, 3), bound=4, extra_dims=(0,)):
+    """d random generators in Z^(d + e), e drawn from extra_dims."""
     while True:
         d = rng.choice(dims)
-        gens = [tuple(rng.randint(-bound, bound) for _ in range(d))
+        n = d + rng.choice(extra_dims)
+        gens = [tuple(rng.randint(-bound, bound) for _ in range(n))
                 for _ in range(d)]
         try:
             return ConeBasis(gens)
@@ -146,15 +150,77 @@ class TestInductiveOracleAgreement:
                     == [a.point for a in direct if a.level == 1])
 
     def test_every_level_one_point_is_atomic(self):
-        from fstarcount.cones import _cone_points_scaled
+        from fstarcount.cones import _scan_scaled
         rng = random.Random(29)
         for _ in range(10):
             basis = random_cone(rng)
             atoms = {a.point for a in enumerate_atomic(basis)}
-            points, denom = _cone_points_scaled(basis, basis.dim)
-            for z, vals in points:
+            denom = basis.solver.denom
+            for z, vals in _scan_scaled(basis, basis.dim):
                 if sum(vals[:basis.dim]) <= denom:  # level 1
                     assert z in atoms
+
+
+def _naive_scan(basis, corners, keep):
+    """{z: denom * lambda} for the lattice points z in the bounding box of
+    `corners` whose coefficients lambda (from solve_exact) pass keep."""
+    matrix = list(zip(*basis.generators))
+    found = {}
+    for z in itertools.product(*(range(min(c), max(c) + 1)
+                                 for c in zip(*corners))):
+        lambdas = solve_exact(matrix, z)
+        if lambdas is not None and keep(lambdas):
+            found[z] = [x * basis.solver.denom for x in lambdas]
+    return found
+
+
+def _combinations(basis, weights):
+    # sum_i w_i v_i for each weight vector w
+    return [tuple(sum(w * g[c] for w, g in zip(ws, basis.generators))
+                  for c in range(basis.ambient_dim))
+            for ws in weights]
+
+
+class TestScanAgainstSolveExact:
+    """_scan_scaled serves enumerate_atomic (through the parallelepiped)
+    and atomic_inductive_oracle and verify_partition (through the open
+    cone), so both of its bound sets are pinned to solve_exact here, on
+    full-rank and on rank-deficient cones."""
+
+    @staticmethod
+    def cones():
+        rng = random.Random(3)
+        return ([random_cone(rng, bound=3) for _ in range(12)]
+                + [random_cone(rng, dims=(1, 2), bound=2, extra_dims=(1, 2))
+                   for _ in range(12)]
+                + [ConeBasis([(1, 0, 1), (0, 1, 1)]),
+                   ConeBasis([(2, 0, 1, 1), (0, 2, 1, -1), (1, 1, 0, 1)])])
+
+    @staticmethod
+    def scanned(basis, max_level=None):
+        from fstarcount.cones import _scan_scaled
+        return {z: values[:basis.dim]
+                for z, values in _scan_scaled(basis, max_level)}
+
+    def test_parallelepiped(self):
+        for basis in self.cones():
+            corners = _combinations(
+                basis, itertools.product((0, 1), repeat=basis.dim))
+            naive = _naive_scan(basis, corners,
+                                lambda ls: all(0 <= x < 1 for x in ls))
+            assert self.scanned(basis) == naive, basis
+            assert parallelepiped_points(basis) == tuple(sorted(naive))
+
+    def test_open_cone_to_level(self):
+        level = 2
+        for basis in self.cones():
+            # conv(0, level * v_1, ..., level * v_d) holds the points
+            corners = _combinations(basis, [[0] * basis.dim] + [
+                [level * (i == j) for j in range(basis.dim)]
+                for i in range(basis.dim)])
+            naive = _naive_scan(basis, corners, lambda ls: (
+                all(x > 0 for x in ls) and sum(ls) <= level))
+            assert self.scanned(basis, level) == naive, basis
 
 
 class TestParallelepiped:
@@ -212,7 +278,6 @@ class TestVerifyPartition:
 
 class TestScanConstrained:
     def test_against_naive_filter(self):
-        import itertools
         from fstarcount.cones import scan_constrained
         rng = random.Random(606)
         for _ in range(30):
@@ -224,27 +289,18 @@ class TestScanConstrained:
             constraints = []
             for _ in range(rng.randint(0, 3)):
                 row = tuple(rng.randint(-3, 3) for _ in range(n))
-                lo = rng.choice((None, rng.randint(-6, 2)))
-                hi = rng.choice((None, rng.randint(-2, 8)))
-                constraints.append((row, lo, hi))
+                lo = rng.randint(-6, 2)
+                constraints.append((row, lo, lo + rng.randint(-2, 10)))
             got = [z for z, _ in scan_constrained(bounds, constraints)]
-            naive = []
-            for z in itertools.product(*(range(lo, hi + 1)
-                                         for lo, hi in bounds)):
-                ok = True
-                for row, lo, hi in constraints:
-                    val = sum(r * x for r, x in zip(row, z))
-                    if (lo is not None and val < lo) or \
-                            (hi is not None and val > hi):
-                        ok = False
-                        break
-                if ok:
-                    naive.append(z)
+            naive = [z for z in itertools.product(*(range(lo, hi + 1)
+                                                    for lo, hi in bounds))
+                     if all(lo <= sum(r * x for r, x in zip(row, z)) <= hi
+                            for row, lo, hi in constraints)]
             assert got == naive
 
     def test_values_match_rows(self):
         from fstarcount.cones import scan_constrained
-        constraints = [((1, 2), None, None), ((1, -1), 0, 0)]
+        constraints = [((1, 2), -100, 100), ((1, -1), 0, 0)]
         for z, vals in scan_constrained([(0, 3), (0, 3)], constraints):
             assert vals[0] == z[0] + 2 * z[1]
             assert z[0] == z[1]
