@@ -21,10 +21,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
-RatMatrix = tuple[RatVector, ...]
 
 Scalar = Union[int, Fraction]
 

@@ -24,15 +24,23 @@ from .bases import FStarVector, eval_fstar
 from .cones import ConeBasis, enumerate_atomic
 from .simplices import Simplex, homogenize
 
+# restricted_partition keeps target + 1 counts; larger targets are refused
+# before that list is allocated.
+_MAX_PARTITION_TARGET = 10 ** 6
+
 
 def restricted_partition(weights: Sequence[int], target: int) -> int:
     """Number of ways to write target as a non-negative integer
     combination of the weights (order of summands irrelevant).
-    0 for negative targets; 1 for target 0."""
+    0 for negative targets; 1 for target 0; a ValueError above
+    10**6."""
     if any(int(w) < 1 for w in weights):
         raise ValueError("weights must be positive integers")
     if target < 0:
         return 0
+    if target > _MAX_PARTITION_TARGET:
+        raise ValueError(f"partition target must be at most "
+                         f"{_MAX_PARTITION_TARGET}")
     ways = [0] * (target + 1)
     ways[0] = 1
     for w in weights:
@@ -117,9 +125,6 @@ class AtomicHeightProfile:
                 raise ValueError("profile key out of range")
             if c < 0:
                 raise ValueError("profile counts must be non-negative")
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def mixed_profile(simplex: Simplex) -> tuple[AtomicHeightProfile,

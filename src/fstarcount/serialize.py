@@ -11,7 +11,7 @@ module loads only `bases` and `exact`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .bases import FStarVector, HStarVector
 
@@ -49,16 +49,40 @@ def int_from_obj(obj) -> int:
     return int(x)
 
 
-def _list(value, path: str, of_lists: bool = False) -> Sequence:
-    """`value` if it is a JSON list (of lists, with of_lists), else a
-    ValueError naming the field: "cells[0].vertices: expected a list"."""
+def _list(value, path: str) -> Sequence:
+    """`value` if it is a JSON list, else a ValueError naming the field:
+    "cells[0].vertices: expected a list, got int"."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{path}: expected a list, "
                          f"got {type(value).__name__}")
-    if of_lists:
-        for i, item in enumerate(value):
-            _list(item, f"{path}[{i}]")
     return value
+
+
+def _object(value, path: str) -> Mapping:
+    """`value` if it is a JSON object, else a ValueError naming the field."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected an object, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _entry(parse: Callable, value, path: str):
+    """parse(value), with the field's path put before the message of a
+    ValueError: "vertices[0][0]: not a rational: 'x'"."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _vector(value, path: str, parse: Callable = rational_from_obj) -> tuple:
+    return tuple(_entry(parse, x, f"{path}[{i}]")
+                 for i, x in enumerate(_list(value, path)))
+
+
+def _vectors(value, path: str, parse: Callable = rational_from_obj) -> tuple:
+    return tuple(_vector(v, f"{path}[{i}]", parse)
+                 for i, v in enumerate(_list(value, path)))
 
 
 def vector_to_json(v: Sequence) -> list[str]:
@@ -81,40 +105,39 @@ def _simplex_from_json(obj: Mapping, path: str) -> Simplex:
     from .simplices import Simplex
     openness = obj.get("openness", "closed")
     if openness not in ("open", "closed"):
-        raise ValueError('openness must be "open" or "closed"')
-    vertices = tuple(tuple(rational_from_obj(x) for x in v)
-                     for v in _list(obj["vertices"], f"{path}vertices", True))
+        raise ValueError(f'{path}openness must be "open" or "closed"')
+    vertices = _vectors(obj["vertices"], f"{path}vertices")
     return Simplex(vertices, is_open=(openness == "open"))
 
 
 def complex_from_json(obj: Mapping) -> OpenComplex:
     from .simplices import OpenComplex, open_faces
     if "cells" in obj:
-        cells = tuple(_simplex_from_json(c, f"cells[{i}].")
+        cells = tuple(_simplex_from_json(_object(c, f"cells[{i}]"),
+                                         f"cells[{i}].")
                       for i, c in enumerate(_list(obj["cells"], "cells")))
         if any(not cell.is_open for cell in cells):
             raise ValueError("complex cells must be open")
         return OpenComplex(cells)
     if "facets" in obj:
-        coords = {key: tuple(rational_from_obj(x)
-                             for x in _list(v, f"coords.{key}"))
-                  for key, v in obj["coords"].items()}
-        facets = [[str(i) for i in facet]
-                  for facet in _list(obj["facets"], "facets", True)]
-        remove = [[str(i) for i in facet]
-                  for facet in _list(obj.get("remove", []), "remove", True)]
+        coords = {key: _vector(v, f"coords.{key}")
+                  for key, v in _object(obj["coords"], "coords").items()}
+
+        def vertex(key) -> str:
+            key = str(key)
+            if key not in coords:
+                raise ValueError(f"no coords for vertex {key!r}")
+            return key
+
+        facets = _vectors(obj["facets"], "facets", vertex)
+        remove = _vectors(obj.get("remove", []), "remove", str)
         return open_faces(facets, coords, remove)
     raise ValueError('complex JSON needs "cells" or "facets"')
 
 
 def generators_from_json(obj: Mapping) -> ConeBasis:
     from .cones import ConeBasis
-    return ConeBasis([[int_from_obj(x) for x in g]
-                      for g in _list(obj["generators"], "generators", True)])
-
-
-def generators_to_json(basis: ConeBasis) -> dict:
-    return {"generators": [[str(x) for x in g] for g in basis.generators]}
+    return ConeBasis(_vectors(obj["generators"], "generators", int_from_obj))
 
 
 def atomic_points_to_json(points: Sequence[AtomicPoint]) -> list[dict]:
@@ -138,11 +161,6 @@ def fstar_from_json(obj: Mapping) -> FStarVector:
 def hstar_to_json(h: HStarVector) -> dict:
     return {"hstar": vector_to_json(h.entries),
             "ambient_degree": h.ambient_degree}
-
-
-def hstar_from_json(obj: Mapping) -> HStarVector:
-    entries = tuple(rational_from_obj(x) for x in obj["hstar"])
-    return HStarVector(entries, int(obj["ambient_degree"]))
 
 
 def quasipolynomial_to_json(qp: EhrhartQuasiPolynomial) -> dict:
@@ -174,14 +192,8 @@ def quasipolynomial_from_json(obj: Mapping) -> EhrhartQuasiPolynomial:
 
 def hypergraph_from_json(obj: Mapping) -> Hypergraph:
     from .coloring import Hypergraph
-    return Hypergraph(int(obj["vertices"]),
-                      tuple(frozenset(int(v) for v in e)
-                            for e in _list(obj["edges"], "edges", True)))
-
-
-def hypergraph_to_json(graph: Hypergraph) -> dict:
-    return {"vertices": graph.vertex_count,
-            "edges": [sorted(e) for e in graph.edges]}
+    return Hypergraph(_entry(int_from_obj, obj["vertices"], "vertices"),
+                      _vectors(obj["edges"], "edges", int_from_obj))
 
 
 def partition_report_to_json(report: PartitionReport) -> dict:

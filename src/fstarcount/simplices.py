@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .bases import FStarVector, HStarVector, _forward_differences, fstar_pad
 from .cones import ConeBasis, enumerate_atomic, parallelepiped_points, \
     scan_constrained
-from .exact import IntVector, RatVector, Scalar, SolveTemplate, gen_binomial
+from .exact import IntVector, RatVector, Scalar, SolveTemplate
 
 
 @dataclass(frozen=True)
@@ -242,29 +242,6 @@ def open_faces(facets: Iterable[Iterable],
     cells = [Simplex(tuple(tuple(coords[i]) for i in face), is_open=True)
              for face in sorted(kept, key=lambda f: (len(f), f))]
     return OpenComplex(tuple(cells))
-
-
-def f_vector(facets: Iterable[Iterable]) -> tuple[int, ...]:
-    """Face counts by dimension of the abstract simplicial complex
-    generated by the facets."""
-    faces = _face_keys(facets)
-    if not faces:
-        return ()
-    counts = [0] * max(len(f) for f in faces)
-    for face in faces:
-        counts[len(face) - 1] += 1
-    return tuple(counts)
-
-
-def h_vector(f: Sequence[int]) -> tuple[int, ...]:
-    """Combinatorial h-vector of a complex with face counts f, one entry
-    longer than f and starting with 1."""
-    rank = len(f)
-    with_empty = (1,) + tuple(f)
-    return tuple(
-        sum((-1) ** (k - i) * gen_binomial(rank - i, rank - k) * with_empty[i]
-            for i in range(k + 1))
-        for k in range(rank + 1))
 
 
 def realize_fstar_complex(target: Sequence[int]) -> OpenComplex:

@@ -2,10 +2,12 @@
 and prints one pass/fail line."""
 
 import importlib
+import sys
 
 import pytest
 
 from fstarcount import acceptance
+from fstarcount.cones import CoefficientVector
 
 
 @pytest.mark.parametrize("number,check",
@@ -20,11 +22,46 @@ def test_criterion(number, check):
     print(f"PASS criterion {number}: {detail}")
 
 
+def _bump(v):
+    """The f* or h* vector v with its first entry raised by one."""
+    return type(v)((v.entries[0] + 1,) + v.entries[1:], v.ambient_degree)
+
+
 def _off_by_one(func):
     """func with the first entry of its returned vector raised by one."""
     def wrapped(*args, **kwargs):
-        v = func(*args, **kwargs)
-        return type(v)((v.entries[0] + 1,) + v.entries[1:], v.ambient_degree)
+        return _bump(func(*args, **kwargs))
+    return wrapped
+
+
+def _plus_one(func):
+    """func with its returned count raised by one."""
+    def wrapped(*args, **kwargs):
+        return func(*args, **kwargs) + 1
+    return wrapped
+
+
+def _residue_off_by_one(func):
+    """func with the first entry of its first residue class raised by one."""
+    def wrapped(*args, **kwargs):
+        qp = func(*args, **kwargs)
+        return type(qp)(qp.period, qp.ambient_degree,
+                        (_bump(qp.residue_fstar[0]),) + qp.residue_fstar[1:])
+    return wrapped
+
+
+def _one_level_up(func):
+    """func with its first atomic point below the top level moved up one
+    level, by raising its last coefficient by one."""
+    def wrapped(basis):
+        points = list(func(basis))
+        for i, p in enumerate(points):
+            if p.level < basis.dim:
+                lambdas = p.coefficients.lambdas
+                points[i] = type(p)(p.point, CoefficientVector.from_lambdas(
+                    lambdas[:-1] + (lambdas[-1] + 1,)))
+                break
+        return tuple(points)
     return wrapped
 
 
@@ -50,20 +87,31 @@ def _drop_last_point(parallelepiped):
     ("bases", "fstar_from_poly", _off_by_one, acceptance.criterion_9),
     ("bases", "hstar_from_poly", _off_by_one, acceptance.criterion_9),
     ("simplices", "fstar_interpolate", _off_by_one, acceptance.criterion_5),
+    ("simplices", "fstar_simplex", _off_by_one, acceptance.criterion_5),
+    ("simplices", "hstar_simplex", _off_by_one, acceptance.criterion_6),
+    ("simplices", "count_points", _plus_one, acceptance.criterion_3),
+    ("rational", "residue_fstar", _residue_off_by_one,
+     acceptance.criterion_7),
+    ("rational", "count_via_profile", _plus_one, acceptance.criterion_8),
+    ("cones", "enumerate_atomic", _one_level_up, acceptance.criterion_5),
     ("cones", "_scan_scaled", _drop_first_open_cone_point,
      acceptance.criterion_4),
     ("cones", "_parallelepiped_scaled", _drop_last_point,
      acceptance.criterion_4),
 ], ids=["fstar_from_poly", "hstar_from_poly", "fstar_interpolate",
-        "_scan_scaled", "_parallelepiped_scaled"])
+        "fstar_simplex", "hstar_simplex", "count_points", "residue_fstar",
+        "count_via_profile", "enumerate_atomic", "_scan_scaled",
+        "_parallelepiped_scaled"])
 def test_criterion_catches_an_off_by_one(owner, name, sabotage, check,
                                          monkeypatch):
     """A criterion that checks a route must fail when that route is
-    wrong, wherever the route is looked up."""
-    module = importlib.import_module(f"fstarcount.{owner}")
-    wrong = sabotage(getattr(module, name))
-    monkeypatch.setattr(module, name, wrong)
-    if hasattr(acceptance, name):
-        monkeypatch.setattr(acceptance, name, wrong)
+    wrong, wherever the route is looked up: in its owning module and in
+    every package module that bound it by name."""
+    original = getattr(importlib.import_module(f"fstarcount.{owner}"), name)
+    wrong = sabotage(original)
+    for module in list(sys.modules.values()):
+        if (module.__name__.split(".")[0] == "fstarcount"
+                and vars(module).get(name) is original):
+            monkeypatch.setattr(module, name, wrong)
     with pytest.raises(AssertionError):
         check()

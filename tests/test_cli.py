@@ -127,6 +127,18 @@ def test_partition_count(tmp_path, capsys):
     assert code == 0 and out == {"count": "3"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["partition-count", "--weights", "1", "--target", "10000000000"],
+    ["profile-count", "--simplex", None, "--dilate", "10000000000"],
+], ids=["partition-count", "profile-count"])
+def test_huge_partition_target_is_one_error_line(tmp_path, capsys, argv):
+    path = write(tmp_path, "s.json", HALF_SEGMENT)
+    code = cli.run([path if a is None else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: partition target must be at most 1000000\n"
+
+
 def test_profile_count(tmp_path, capsys):
     path = write(tmp_path, "s.json", HALF_SEGMENT)
     code, out = run_json(capsys, ["profile-count", "--simplex", path,
@@ -280,10 +292,11 @@ def _python(code, *argv):
     ("complex-fstar", "--complex", {"cells": [{"vertices": 7}]},
      "cells[0].vertices: expected a list, got int"),
     ("complex-fstar", "--complex",
-     {"facets": [[0, 1]], "coords": {"0": [0]}}, None),
+     {"facets": [[0, 1]], "coords": {"0": [0]}},
+     "facets[0][1]: no coords for vertex '1'"),
     ("fstar", "--simplex", [[0], [1]], "expected a JSON object, got list"),
     ("complex-fstar", "--complex", {"facets": [[0]], "coords": [[0]]},
-     None),
+     "coords: expected an object, got list"),
     ("fstar", "--simplex", {"vertices": 7},
      "vertices: expected a list, got int"),
     ("fstar", "--simplex", {"vertices": [[0], 1]},
@@ -294,11 +307,18 @@ def _python(code, *argv):
      "generators[1]: expected a list, got int"),
     ("complex-fstar", "--complex", {"facets": [0], "coords": {}},
      "facets[0]: expected a list, got int"),
+    ("complex-fstar", "--complex", {"cells": [5]},
+     "cells[0]: expected an object, got int"),
+    ("coloring-complex", "--hypergraph", {"vertices": [1, 2], "edges": []},
+     "vertices: not a rational: [1, 2]"),
+    ("fstar", "--simplex", {"vertices": [["x"]]},
+     "vertices[0][0]: not a rational: 'x'"),
 ], ids=["generators-not-a-list", "cell-vertices-not-a-list",
         "facet-vertex-without-coords", "simplex-not-an-object",
         "coords-not-an-object", "vertices-not-a-list",
         "vertex-not-a-list", "edge-not-a-list", "generator-not-a-list",
-        "facet-not-a-list"])
+        "facet-not-a-list", "cell-not-an-object",
+        "hypergraph-vertices-a-list", "vertex-entry-not-a-rational"])
 def test_malformed_input_is_one_error_line(tmp_path, command, flag,
                                            payload, detail):
     path = write(tmp_path, "input.json", payload)
@@ -306,11 +326,7 @@ def test_malformed_input_is_one_error_line(tmp_path, command, flag,
                    command, flag, path)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: {path}: ")
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
-    if detail is not None:
-        assert proc.stderr == f"error: {path}: {detail}\n"
+    assert proc.stderr == f"error: {path}: {detail}\n"
 
 
 def test_broken_invariant_exits_two(tmp_path, capsys, monkeypatch):

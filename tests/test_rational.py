@@ -32,6 +32,10 @@ class TestRestrictedPartition:
         with pytest.raises(ValueError):
             restricted_partition((1, 0), 3)
 
+    def test_huge_target_refused(self):
+        with pytest.raises(ValueError, match="at most 1000000"):
+            restricted_partition((1,), 10 ** 6 + 1)
+
     def test_brute_force_agreement(self):
         for weights in ((2, 3), (1, 3, 4), (5,)):
             for target in range(0, 15):
@@ -148,7 +152,7 @@ class TestMixedProfile:
             generators = [tuple(int(x * m) for x in v) + (m,)
                           for v, m in zip(simplex.vertices, heights)]
             atoms = enumerate_atomic(ConeBasis(generators))
-            assert profile.total() == len(atoms)
+            assert sum(profile.counts.values()) == len(atoms)
 
 
 class TestCountViaProfile:

@@ -63,9 +63,9 @@ def test_complex_from_facets():
 
 
 def test_generators_round_trip():
-    basis = ConeBasis([(0, 1), (2, 1)])
-    again = serialize.generators_from_json(serialize.generators_to_json(basis))
-    assert again == basis
+    payload = {"generators": [["0", "1"], [2, "1"]]}
+    assert (serialize.generators_from_json(payload)
+            == ConeBasis([(0, 1), (2, 1)]))
 
 
 def test_atomic_points_schema():
@@ -80,7 +80,8 @@ def test_vector_json_round_trip():
     f = FStarVector((Fraction(1), Fraction(-2, 3)), 1)
     assert serialize.fstar_from_json(serialize.fstar_to_json(f)) == f
     h = HStarVector((Fraction(2), Fraction(-6), Fraction(6), Fraction(-2)), 3)
-    assert serialize.hstar_from_json(serialize.hstar_to_json(h)) == h
+    assert serialize.hstar_to_json(h) == {"hstar": ["2", "-6", "6", "-2"],
+                                          "ambient_degree": 3}
 
 
 def test_quasipolynomial_round_trip():
@@ -93,9 +94,9 @@ def test_quasipolynomial_round_trip():
 
 
 def test_hypergraph_round_trip():
-    graph = Hypergraph(10, (frozenset(range(1, 7)),))
-    again = serialize.hypergraph_from_json(serialize.hypergraph_to_json(graph))
-    assert again == graph
+    payload = {"vertices": 10, "edges": [[1, 2, 3, 4, 5, 6]]}
+    assert (serialize.hypergraph_from_json(payload)
+            == Hypergraph(10, (frozenset(range(1, 7)),)))
 
 
 def test_closed_cells_rejected():

@@ -1,14 +1,16 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from fstarcount.bases import eval_fstar, fstar_pad, poly_from_fstar
+from fstarcount.exact import solve_exact
 from fstarcount.simplices import (OpenComplex, Simplex, count_points,
-                                  count_points_complex, f_vector,
-                                  fstar_complex, fstar_interpolate,
-                                  fstar_simplex, h_vector, homogenize,
-                                  hstar_simplex, is_unimodular,
+                                  count_points_complex, fstar_complex,
+                                  fstar_interpolate, fstar_simplex,
+                                  homogenize, hstar_simplex, is_unimodular,
                                   lattice_points, open_faces,
                                   realize_fstar_complex, verify_disjoint)
 
@@ -90,6 +92,44 @@ class TestCountPoints:
         points = lattice_points(STD2_CLOSED, 2)
         assert list(points) == sorted(points)
         assert len(points) == count_points(STD2_CLOSED, 2) == 6
+
+    @staticmethod
+    def _box(simplex, k):
+        return [range(math.floor(k * min(c)), math.ceil(k * max(c)) + 1)
+                for c in zip(*simplex.vertices)]
+
+    def test_against_solve_exact(self):
+        # The oracle's scan against a plain product over the bounding box
+        # of k*s, kept where solve_exact on the columns (v_j, 1) gives
+        # lambda >= 0 (closed) or lambda > 0 (open).  Boxes are capped so
+        # that the Fraction solves stay within a second.
+        rng = random.Random(8108)
+        corpus = []
+        while len(corpus) < 30:
+            d = len(corpus) % 4
+            ambient = max(1, d + rng.randint(0, 2))
+            den = rng.choice((1, 2, 3))
+            shift = [rng.randint(-1, 1) for _ in range(ambient)]
+            verts = [tuple(c + Fraction(rng.randint(0, den), den)
+                           for c in shift) for _ in range(d + 1)]
+            try:
+                simplex = Simplex(verts, is_open=rng.random() < 0.5)
+            except ValueError:
+                continue
+            if math.prod(map(len, self._box(simplex, 3))) <= 128:
+                corpus.append(simplex)
+        for simplex in corpus:
+            columns = [list(row) for row in zip(*simplex.vertices)]
+            matrix = columns + [[1] * (simplex.dim + 1)]
+            for k in range(1, 4):
+                want = 0
+                for z in itertools.product(*self._box(simplex, k)):
+                    lambdas = solve_exact(matrix, list(z) + [k])
+                    if lambdas is not None and all(
+                            x > 0 if simplex.is_open else x >= 0
+                            for x in lambdas):
+                        want += 1
+                assert count_points(simplex, k) == want, (simplex, k)
 
 
 class TestFStarSimplex:
@@ -227,23 +267,6 @@ class TestDisjointness:
         assert not verify_disjoint(OpenComplex((cell, cell)))
 
 
-class TestFHVectors:
-    def test_triangle_boundary(self):
-        assert f_vector([[0, 1], [1, 2], [0, 2]]) == (3, 3)
-        assert h_vector((3, 3)) == (1, 1, 1)
-
-    def test_solid_triangle(self):
-        assert f_vector([[0, 1, 2]]) == (3, 3, 1)
-        assert h_vector((3, 3, 1)) == (1, 0, 0, 0)
-
-    def test_sphere_f_vector(self):
-        # hand evaluation of the alternating-sum formula
-        assert h_vector((30, 150, 240, 120)) == (1, 26, 66, 26, 1)
-
-    def test_empty(self):
-        assert f_vector([]) == ()
-
-
 class TestUnimodular:
     def test_standard(self):
         assert is_unimodular(STD2_CLOSED)
@@ -271,13 +294,14 @@ class TestRealizeFstar:
 
 
 def test_unimodular_complex_fstar_equals_f_vector():
-    # on a unimodular complex the f*-vector coincides with the f-vector
-    facets = [[0, 1, 2]]
+    # on a unimodular complex the f*-vector coincides with the f-vector,
+    # the number of cells of each dimension
     coords = TestOpenFaces.COORDS
-    assert fstar_complex(open_faces(facets, coords)).entries == f_vector(facets)
-    boundary = [[0, 1], [1, 2], [0, 2]]
-    assert (fstar_complex(open_faces(boundary, coords)).entries
-            == f_vector(boundary))
+    for facets in ([[0, 1, 2]], [[0, 1], [1, 2], [0, 2]]):
+        complex_ = open_faces(facets, coords)
+        dims = [cell.dim for cell in complex_.cells]
+        f = tuple(dims.count(i) for i in range(complex_.dim + 1))
+        assert fstar_complex(complex_).entries == f
 
 
 def test_polynomial_counts_on_random_corpus():
