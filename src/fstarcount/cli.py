@@ -26,34 +26,29 @@ if TYPE_CHECKING:
     from .simplices import Simplex
 
 
-class CliError(Exception):
-    """Bad input or usage; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _load(path: str, parse: Callable[[Any], Any]) -> Any:
     """Read the JSON file at `path` and build an input from it with one
-    of the serialize parsers; a malformed document is a CliError."""
+    of the serialize parsers; bad input is a ValueError naming the file."""
     try:
         with open(path) as handle:
             obj = json.load(handle)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; RecursionError is deep nesting
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise CliError(f"{path}: expected a JSON object, "
-                       f"got {type(obj).__name__}")
+        raise ValueError(f"{path}: expected a JSON object, "
+                         f"got {type(obj).__name__}")
     try:
         return parse(obj)
-    except KeyError as exc:
-        raise CliError(f"{path}: missing key {exc}") from None
-    except (TypeError, AttributeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -155,7 +150,7 @@ def _cmd_complex_fstar(args) -> int:
     if degree is None:
         degree = complex_.dim
     if degree < complex_.dim:
-        raise CliError("ambient degree too small for the complex")
+        raise ValueError("ambient degree too small for the complex")
     tasks = [(cell, degree) for cell in complex_.cells]
     if args.parallel and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -192,7 +187,7 @@ def _cmd_partition_count(args) -> int:
     try:
         weights = [int(w) for w in args.weights.split(",") if w]
     except ValueError:
-        raise CliError("weights must be a comma-separated integer list")
+        raise ValueError("weights must be a comma-separated integer list")
     _emit({"count": str(restricted_partition(weights, args.target))},
           args.format)
     return 0
@@ -279,7 +274,7 @@ def _build_parser() -> _Parser:
            "--dilate": dict(type=int, required=True)})
     add("coloring-complex", _cmd_coloring_complex,
         **{"--hypergraph": dict(required=True)})
-    add("selftest", _cmd_selftest)
+    sub.add_parser("selftest").set_defaults(func=_cmd_selftest)
     return parser
 
 
@@ -288,7 +283,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -12,6 +12,7 @@ f*-vector never does.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -24,6 +25,23 @@ if TYPE_CHECKING:
 
 Vertex = tuple[int, ...]
 Face = frozenset
+
+# Most chain faces, summed over the edges, of a Hypergraph: the bound on
+# what coloring_complex_faces enumerates.  Two 2-vertex edges on 8
+# vertices (94,584 chains) peak at about 75 MB and take 1 s; one 2-vertex
+# edge on 9 vertices would be 545,834 chains and 417 MB.
+_MAX_FACES = 10**5
+
+
+def _chain_count(r: int) -> int:
+    """Chains of the Boolean lattice on r coordinates without its top and
+    bottom: Fubini(r) - 1, but computed only until it passes _MAX_FACES."""
+    fubini = [1]  # ordered set partitions of 0, 1, 2, ... elements
+    while len(fubini) <= r and fubini[-1] <= _MAX_FACES + 1:
+        n = len(fubini)
+        fubini.append(sum(math.comb(n, k) * fubini[n - k]
+                          for k in range(1, n + 1)))
+    return fubini[-1] - 1
 
 
 @dataclass(frozen=True)
@@ -39,8 +57,16 @@ class Hypergraph:
         for e in edges:
             if len(e) < 2:
                 raise ValueError("edges must contain at least two vertices")
-            if not e <= set(range(1, self.vertex_count + 1)):
+            if not all(1 <= v <= self.vertex_count for v in e):
                 raise ValueError("edge vertex outside 1..vertex_count")
+        # The improper vectors of edge e are the Boolean lattice on the
+        # n - |e| + 1 coordinates (e's common value and the other
+        # vertices) without its top and bottom: count its chains up front.
+        chains = sum(_chain_count(self.vertex_count - len(e) + 1)
+                     for e in edges)
+        if chains > _MAX_FACES:
+            raise ValueError(f"coloring complex too large: more than "
+                             f"{_MAX_FACES} chain faces summed over the edges")
 
 
 def improper_vertex_set(graph: Hypergraph, edge: frozenset) -> set[Vertex]:

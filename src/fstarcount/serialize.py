@@ -2,7 +2,9 @@
 
 Numbers travel as strings: a rational is "p/q" with q > 0 in lowest
 terms, or just "p" when the denominator is 1, so round-trips are
-bit-exact.  Inputs accept plain JSON integers as well.
+bit-exact.  Inputs accept plain JSON integers as well, and strings
+"p" or "p/q" of ASCII digits with an optional leading minus (q need not
+be in lowest terms); decimals and exponents are refused.
 
 Each parser imports the type it builds when it runs, so loading this
 module loads only `bases` and `exact`.
@@ -10,7 +12,9 @@ module loads only `bases` and `exact`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .bases import FStarVector, HStarVector
@@ -29,41 +33,47 @@ def rational_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rational_from_obj(obj) -> Fraction:
-    if isinstance(obj, bool):
-        raise ValueError(f"not a rational: {obj!r}")
-    if isinstance(obj, int):
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _number(obj) -> Fraction | None:
+    """obj as a Fraction if it is a JSON integer or a "p" or "p/q" string
+    (with a nonzero q and fewer than Python's 4300 digits), else None."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
-    if isinstance(obj, str):
+    if isinstance(obj, str) and _RATIONAL.fullmatch(obj):
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"not a rational: {obj!r}") from None
-    raise ValueError(f"not a rational: {obj!r}")
+            return None
+    return None
+
+
+def rational_from_obj(obj) -> Fraction:
+    x = _number(obj)
+    if x is None:
+        raise ValueError(f"not a rational: {obj!r}")
+    return x
 
 
 def int_from_obj(obj) -> int:
-    x = rational_from_obj(obj)
-    if x.denominator != 1:
+    x = _number(obj)
+    if x is None or x.denominator != 1:
         raise ValueError(f"not an integer: {obj!r}")
     return int(x)
 
 
-def _list(value, path: str) -> Sequence:
-    """`value` if it is a JSON list, else a ValueError naming the field:
-    "cells[0].vertices: expected a list, got int"."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{path}: expected a list, "
+def _typed(kind: type, noun: str, value, path: str):
+    """`value` if it is of the JSON kind, else a ValueError naming the
+    field: "cells[0].vertices: expected a list, got int"."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: expected {noun}, "
                          f"got {type(value).__name__}")
     return value
 
 
-def _object(value, path: str) -> Mapping:
-    """`value` if it is a JSON object, else a ValueError naming the field."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{path}: expected an object, "
-                         f"got {type(value).__name__}")
-    return value
+_list = partial(_typed, list, "a list")
+_object = partial(_typed, dict, "an object")
 
 
 def _entry(parse: Callable, value, path: str):
@@ -85,6 +95,18 @@ def _vectors(value, path: str, parse: Callable = rational_from_obj) -> tuple:
                  for i, v in enumerate(_list(value, path)))
 
 
+_integer = partial(_entry, int_from_obj)
+_integers = partial(_vectors, parse=int_from_obj)
+
+
+def _field(obj: Mapping, key: str, read: Callable, path: str = ""):
+    """read(obj[key], the field's path), such as _vectors or _integer; a
+    ValueError naming the field if the key is absent: "edges: missing"."""
+    if key not in obj:
+        raise ValueError(f"{path}{key}: missing")
+    return read(obj[key], f"{path}{key}")
+
+
 def vector_to_json(v: Sequence) -> list[str]:
     return [rational_to_str(x) for x in v]
 
@@ -96,32 +118,27 @@ def simplex_to_json(s: Simplex) -> dict:
     }
 
 
-def simplex_from_json(obj: Mapping) -> Simplex:
-    return _simplex_from_json(obj, "")
-
-
-def _simplex_from_json(obj: Mapping, path: str) -> Simplex:
+def simplex_from_json(obj: Mapping, path: str = "") -> Simplex:
     # path prefixes the field names in error messages, e.g. "cells[0]."
     from .simplices import Simplex
     openness = obj.get("openness", "closed")
     if openness not in ("open", "closed"):
         raise ValueError(f'{path}openness must be "open" or "closed"')
-    vertices = _vectors(obj["vertices"], f"{path}vertices")
-    return Simplex(vertices, is_open=(openness == "open"))
+    return Simplex(_field(obj, "vertices", _vectors, path), openness == "open")
 
 
 def complex_from_json(obj: Mapping) -> OpenComplex:
     from .simplices import OpenComplex, open_faces
     if "cells" in obj:
-        cells = tuple(_simplex_from_json(_object(c, f"cells[{i}]"),
-                                         f"cells[{i}].")
+        cells = tuple(simplex_from_json(_object(c, f"cells[{i}]"),
+                                        f"cells[{i}].")
                       for i, c in enumerate(_list(obj["cells"], "cells")))
         if any(not cell.is_open for cell in cells):
             raise ValueError("complex cells must be open")
         return OpenComplex(cells)
     if "facets" in obj:
         coords = {key: _vector(v, f"coords.{key}")
-                  for key, v in _object(obj["coords"], "coords").items()}
+                  for key, v in _field(obj, "coords", _object).items()}
 
         def vertex(key) -> str:
             key = str(key)
@@ -129,7 +146,7 @@ def complex_from_json(obj: Mapping) -> OpenComplex:
                 raise ValueError(f"no coords for vertex {key!r}")
             return key
 
-        facets = _vectors(obj["facets"], "facets", vertex)
+        facets = _field(obj, "facets", partial(_vectors, parse=vertex))
         remove = _vectors(obj.get("remove", []), "remove", str)
         return open_faces(facets, coords, remove)
     raise ValueError('complex JSON needs "cells" or "facets"')
@@ -137,7 +154,7 @@ def complex_from_json(obj: Mapping) -> OpenComplex:
 
 def generators_from_json(obj: Mapping) -> ConeBasis:
     from .cones import ConeBasis
-    return ConeBasis(_vectors(obj["generators"], "generators", int_from_obj))
+    return ConeBasis(_field(obj, "generators", _integers))
 
 
 def atomic_points_to_json(points: Sequence[AtomicPoint]) -> list[dict]:
@@ -154,8 +171,8 @@ def fstar_to_json(f: FStarVector) -> dict:
 
 
 def fstar_from_json(obj: Mapping) -> FStarVector:
-    entries = tuple(rational_from_obj(x) for x in obj["fstar"])
-    return FStarVector(entries, int(obj["ambient_degree"]))
+    return FStarVector(_field(obj, "fstar", _vector),
+                       _field(obj, "ambient_degree", _integer))
 
 
 def hstar_to_json(h: HStarVector) -> dict:
@@ -178,22 +195,23 @@ def quasipolynomial_to_json(qp: EhrhartQuasiPolynomial) -> dict:
 
 def quasipolynomial_from_json(obj: Mapping) -> EhrhartQuasiPolynomial:
     from .rational import EhrhartQuasiPolynomial
-    period = int(obj["period"])
-    degree = int(obj["ambient_degree"])
-    vectors: list = [None] * period
-    for residue in obj["residues"]:
-        l = int(residue["heights_mod"]) - 1
-        entries = tuple(rational_from_obj(x) for x in residue["fstar"])
-        vectors[l] = FStarVector(entries, degree)
-    if any(v is None for v in vectors):
-        raise ValueError("missing residue class")
-    return EhrhartQuasiPolynomial(period, degree, tuple(vectors))
+    period = _field(obj, "period", _integer)
+    degree = _field(obj, "ambient_degree", _integer)
+    fstar = {}
+    for i, residue in enumerate(_field(obj, "residues", _list)):
+        path = f"residues[{i}]."
+        l = _field(_object(residue, path[:-1]), "heights_mod", _integer, path)
+        fstar[l] = FStarVector(_field(residue, "fstar", _vector, path), degree)
+    if sorted(fstar) != list(range(1, len(fstar) + 1)):
+        raise ValueError("residues: missing residue class")
+    return EhrhartQuasiPolynomial(
+        period, degree, tuple(v for _, v in sorted(fstar.items())))
 
 
 def hypergraph_from_json(obj: Mapping) -> Hypergraph:
     from .coloring import Hypergraph
-    return Hypergraph(_entry(int_from_obj, obj["vertices"], "vertices"),
-                      _vectors(obj["edges"], "edges", int_from_obj))
+    return Hypergraph(_field(obj, "vertices", _integer),
+                      _field(obj, "edges", _integers))
 
 
 def partition_report_to_json(report: PartitionReport) -> dict:

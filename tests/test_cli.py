@@ -252,6 +252,14 @@ def test_selftest_prints_one_line_per_criterion(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_selftest_takes_no_format(capsys):
+    # selftest prints PASS/FAIL text whatever --format would say
+    assert cli.run(["selftest", "--format", "table"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --format table\n"
+
+
 def test_failed_verification_exits_two(tmp_path, capsys, monkeypatch):
     from fstarcount import cones
     from fstarcount.cones import PartitionReport
@@ -310,18 +318,47 @@ def _python(code, *argv):
     ("complex-fstar", "--complex", {"cells": [5]},
      "cells[0]: expected an object, got int"),
     ("coloring-complex", "--hypergraph", {"vertices": [1, 2], "edges": []},
-     "vertices: not a rational: [1, 2]"),
+     "vertices: not an integer: [1, 2]"),
     ("fstar", "--simplex", {"vertices": [["x"]]},
      "vertices[0][0]: not a rational: 'x'"),
+    ("complex-fstar", "--complex", {"cells": [{}]},
+     "cells[0].vertices: missing"),
+    ("fstar", "--simplex", "[" * 100_000 + "]" * 100_000,
+     "invalid JSON: maximum recursion depth exceeded while decoding a "
+     "JSON array from a unicode string"),
+    ("fstar", "--simplex", '{"vertices": [[' + "7" * 5000 + "]]}",
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+     "to increase the limit"),
+    ("fstar", "--simplex", {"vertices": [["1e10000000"]]},
+     "vertices[0][0]: not a rational: '1e10000000'"),
+    ("coloring-complex", "--hypergraph", {"vertices": 9, "edges": [[1, 2]]},
+     "coloring complex too large: more than 100000 chain faces summed "
+     "over the edges"),
+    ("complex-fstar", "--complex",
+     {"facets": [list(range(16))], "coords": {str(i): [i] for i in range(16)}},
+     "facets[0]: too many vertices for the ambient dimension"),
+    ("complex-fstar", "--complex",
+     {"facets": [list(range(14))],
+      "coords": {str(i): [int(i == j) for j in range(13)] for i in range(14)}},
+     "complex too large: more than 10000 faces summed over the facets and "
+     "removed facets"),
 ], ids=["generators-not-a-list", "cell-vertices-not-a-list",
         "facet-vertex-without-coords", "simplex-not-an-object",
         "coords-not-an-object", "vertices-not-a-list",
         "vertex-not-a-list", "edge-not-a-list", "generator-not-a-list",
         "facet-not-a-list", "cell-not-an-object",
-        "hypergraph-vertices-a-list", "vertex-entry-not-a-rational"])
+        "hypergraph-vertices-a-list", "vertex-entry-not-a-rational",
+        "cell-vertices-missing", "deeply-nested-array", "integer-too-long",
+        "exponent-coordinate", "hypergraph-too-large",
+        "facet-beyond-dimension", "facets-too-many-faces"])
 def test_malformed_input_is_one_error_line(tmp_path, command, flag,
                                            payload, detail):
-    path = write(tmp_path, "input.json", payload)
+    # a str payload is the file's text, for documents json.dumps refuses
+    path = tmp_path / "input.json"
+    path.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload))
+    path = str(path)
     proc = _python("from fstarcount.cli import main; main()",
                    command, flag, path)
     assert proc.returncode == 1

@@ -22,6 +22,15 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph(3, (frozenset({1, 4}),))
 
+    @pytest.mark.parametrize("vertex_count,edges", [
+        (9, [{1, 2}]),                    # 545,834 chains on one edge
+        (8, [{1, 2}, {3, 4}, {5, 6}]),    # 3 x 47,292 chains
+        (10**18, [{1, 2}]),               # refused without a vertex range
+    ])
+    def test_too_many_chain_faces_refused(self, vertex_count, edges):
+        with pytest.raises(ValueError, match="coloring complex too large"):
+            Hypergraph(vertex_count, tuple(map(frozenset, edges)))
+
 
 class TestImproperVertexSet:
     def test_large_edge(self):

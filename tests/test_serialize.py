@@ -27,11 +27,17 @@ def test_rational_round_trip_bit_exact():
 
 
 def test_bad_rationals_rejected():
-    for bad in ("x", "1/0", None, 1.5, True):
-        with pytest.raises(ValueError):
+    # only a JSON integer or "p" or "p/q" of ASCII digits: "1e10000000"
+    # would otherwise build a 33-million-bit integer
+    for bad in ("x", "1/0", None, 1.5, True, "1e10000000", "1e3", "0.5",
+                "+3", " 3", "3/", "/3", "\u0663"):
+        with pytest.raises(ValueError, match="not a rational"):
             serialize.rational_from_obj(bad)
-    with pytest.raises(ValueError):
-        serialize.int_from_obj("1/2")
+    assert serialize.int_from_obj("-12") == -12
+    assert serialize.int_from_obj("4/2") == 2
+    for bad in ("1/2", [1, 2], "x", "1e3"):
+        with pytest.raises(ValueError, match="not an integer"):
+            serialize.int_from_obj(bad)
 
 
 def test_simplex_round_trip():

@@ -219,6 +219,19 @@ class TestOpenFaces:
         dims = sorted(cell.dim for cell in faces.cells)
         assert dims == [0, 0, 0, 1, 1, 1, 2]
 
+    def test_facet_beyond_the_ambient_dimension_refused(self):
+        coords = {i: (i,) for i in range(40)}
+        with pytest.raises(ValueError, match=r"facets\[1\]: too many"):
+            open_faces([[0, 1], list(range(40))], coords)
+
+    def test_too_many_faces_refused(self):
+        # 14 vertices in 13 dimensions, or a removed 40-vertex facet
+        coords = {i: tuple(int(i == j) for j in range(13)) for i in range(14)}
+        with pytest.raises(ValueError, match="complex too large"):
+            open_faces([list(range(14))], coords)
+        with pytest.raises(ValueError, match="complex too large"):
+            open_faces([[0, 1]], self.COORDS, [list(range(40))])
+
     def test_boundary(self):
         boundary = open_faces([[0, 1], [1, 2], [0, 2]], self.COORDS)
         assert sorted(c.dim for c in boundary.cells) == [0, 0, 0, 1, 1, 1]
