@@ -12,19 +12,19 @@ _EXPORTS = {
     "bases": ("FStarVector", "HStarVector", "eval_fstar", "fstar_from_poly",
               "fstar_pad", "hstar_from_poly", "hstar_fstar_identity_check",
               "poly_from_fstar", "poly_from_hstar"),
-    "coloring": ("ColoringComplexFaces", "Hypergraph",
-                 "coloring_complex_faces", "coloring_complex_fvector",
-                 "coloring_complex_hstar", "edge_chain_faces",
-                 "improper_vertex_set", "realize_coloring_complex"),
+    "coloring": ("Hypergraph", "coloring_complex_faces",
+                 "coloring_complex_fvector", "coloring_complex_hstar",
+                 "edge_chain_faces", "improper_vertex_set",
+                 "realize_coloring_complex"),
     "cones": ("AtomicPoint", "CoefficientVector", "ConeBasis",
               "PartitionReport", "atomic_inductive_oracle", "coefficients_of",
               "enumerate_atomic", "is_atomic", "parallelepiped_points",
               "verify_partition"),
     "exact": ("IntVector", "Polynomial", "RatVector", "binomial_poly",
               "gen_binomial", "solve_exact"),
-    "rational": ("AtomicHeightProfile", "EhrhartQuasiPolynomial",
-                 "count_via_profile", "mixed_profile", "quasi_eval",
-                 "residue_fstar", "restricted_partition"),
+    "rational": ("EhrhartQuasiPolynomial", "count_via_profile",
+                 "mixed_profile", "quasi_eval", "residue_fstar",
+                 "restricted_partition"),
     "simplices": ("OpenComplex", "Simplex", "count_points",
                   "count_points_complex", "fstar_complex",
                   "fstar_interpolate", "fstar_simplex", "homogenize",

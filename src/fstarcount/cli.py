@@ -17,13 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import serialize
-
-if TYPE_CHECKING:
-    from .bases import FStarVector
-    from .simplices import Simplex
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,32 +133,27 @@ def _cmd_verify_partition(args) -> int:
     return 0 if report.passed else 2
 
 
-def _fstar_cell(task: tuple[Simplex, int]) -> FStarVector:
-    from .simplices import fstar_simplex
-    cell, degree = task
-    return fstar_simplex(cell, degree)
-
-
 def _cmd_complex_fstar(args) -> int:
-    from .bases import FStarVector
+    from .simplices import fstar_complex
     complex_ = _load(args.complex, serialize.complex_from_json)
     degree = args.ambient_degree
-    if degree is None:
-        degree = complex_.dim
-    if degree < complex_.dim:
-        raise ValueError("ambient degree too small for the complex")
-    tasks = [(cell, degree) for cell in complex_.cells]
-    if args.parallel and len(tasks) > 1:
+    if args.parallel and len(complex_.cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from functools import partial
+        from .bases import FStarVector
+        from .simplices import fstar_simplex
+        if degree is None:
+            degree = complex_.dim
+        if degree < complex_.dim:
+            raise ValueError("ambient degree too small for the complex")
+        cell_fstar = partial(fstar_simplex, ambient_degree=degree)
         with ProcessPoolExecutor() as pool:
-            parts = list(pool.map(_fstar_cell, tasks, chunksize=8))
+            parts = list(pool.map(cell_fstar, complex_.cells, chunksize=8))
+        result = FStarVector(
+            tuple(map(sum, zip(*(part.entries for part in parts)))), degree)
     else:
-        parts = [_fstar_cell(t) for t in tasks]
-    total = FStarVector((0,) * (degree + 1), degree)
-    for part in parts:
-        total = FStarVector(tuple(a + b for a, b in
-                                  zip(total.entries, part.entries)), degree)
-    _emit(serialize.fstar_to_json(total), args.format)
+        result = fstar_complex(complex_, degree)
+    _emit(serialize.fstar_to_json(result), args.format)
     return 0
 
 
@@ -194,13 +185,13 @@ def _cmd_partition_count(args) -> int:
 
 
 def _cmd_profile_count(args) -> int:
-    from .rational import count_via_profile, mixed_profile
+    from .rational import _profile_count, mixed_profile
     simplex = _load(args.simplex, serialize.simplex_from_json)
-    profile, heights = mixed_profile(simplex)
+    counts, heights = mixed_profile(simplex)
     table = [{"level": i + 1, "height": s, "count": c}
-             for (i, s), c in sorted(profile.counts.items())]
+             for (i, s), c in sorted(counts.items())]
     payload = {
-        "count": str(count_via_profile(simplex, args.dilate)),
+        "count": str(_profile_count(counts, heights, args.dilate)),
         "profile": table,
         "vertex_heights": list(heights),
     }
@@ -209,13 +200,15 @@ def _cmd_profile_count(args) -> int:
 
 
 def _cmd_coloring_complex(args) -> int:
-    from .coloring import coloring_complex_fvector, coloring_complex_hstar
+    from .coloring import coloring_complex_hstar
     graph = _load(args.hypergraph, serialize.hypergraph_from_json)
-    f = coloring_complex_fvector(graph)
     fstar, hstar = coloring_complex_hstar(graph)
+    entries = serialize.vector_to_json(fstar.entries)
     payload = {
-        "f": [str(x) for x in f],
-        "fstar": serialize.vector_to_json(fstar.entries),
+        # Every face is unimodular, so f* is the f-vector; only the empty
+        # complex, with no vertex, has f = () next to f* = (0).
+        "f": entries if fstar.entries[0] else [],
+        "fstar": entries,
         "hstar": serialize.vector_to_json(hstar.entries),
         "dimension": fstar.ambient_degree,
     }

@@ -107,29 +107,22 @@ def edge_chain_faces(graph: Hypergraph, edge: frozenset) -> set[Face]:
     return faces
 
 
-@dataclass(frozen=True)
-class ColoringComplexFaces:
-    """The face set of a coloring complex with its per-size counts."""
-
-    f: tuple[int, ...]
-    faces: frozenset
-
-
-def coloring_complex_faces(graph: Hypergraph) -> ColoringComplexFaces:
+def coloring_complex_faces(graph: Hypergraph) -> frozenset[Face]:
+    """Every face of the coloring complex: the union over the edges of
+    their chain faces."""
     faces: set[Face] = set()
     for edge in graph.edges:
         faces |= edge_chain_faces(graph, edge)
-    if not faces:
-        return ColoringComplexFaces((), frozenset())
-    counts = [0] * max(len(face) for face in faces)
-    for face in faces:
-        counts[len(face) - 1] += 1
-    return ColoringComplexFaces(tuple(counts), frozenset(faces))
+    return frozenset(faces)
 
 
 def coloring_complex_fvector(graph: Hypergraph) -> tuple[int, ...]:
     """Face counts by dimension; empty tuple for the empty complex."""
-    return coloring_complex_faces(graph).f
+    faces = coloring_complex_faces(graph)
+    counts = [0] * max((len(face) for face in faces), default=0)
+    for face in faces:
+        counts[len(face) - 1] += 1
+    return tuple(counts)
 
 
 def coloring_complex_hstar(graph: Hypergraph,
@@ -151,7 +144,7 @@ def realize_coloring_complex(graph: Hypergraph) -> OpenComplex:
     """Geometric realization: each chain face as the open simplex on its
     0/1 vectors, suitable for direct lattice counting."""
     from .simplices import OpenComplex, Simplex
-    faces = coloring_complex_faces(graph).faces
+    faces = coloring_complex_faces(graph)
     cells = [Simplex(tuple(sorted(face)), is_open=True)
              for face in sorted(faces, key=lambda fc: (len(fc), sorted(fc)))]
     return OpenComplex(tuple(cells))

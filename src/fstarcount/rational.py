@@ -104,48 +104,43 @@ def quasi_eval(qp: EhrhartQuasiPolynomial, height: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class AtomicHeightProfile:
-    """counts[(i, s)] is the number of atomic points at level i+1 with
-    last coordinate s, for the mixed-height cone over a simplex.
+def mixed_profile(simplex: Simplex) -> tuple[dict[tuple[int, int], int],
+                                             tuple[int, ...]]:
+    """Embed vertex j at its minimal integral height m_j (lcm of its
+    coordinate denominators) and count the atomic points of the
+    resulting cone by (level-1, last coordinate).  Returns those counts
+    and the heights in vertex order.
 
     Heights can exceed the sum of the generator heights (witness: the
     open segment (0, 2/3) has an atomic point at height 5 while the
     generator heights sum to 4); they never exceed generators * max
-    height, the ceiling the fundamental simplex does guarantee."""
-
-    counts: Mapping[tuple[int, int], int]
-    generator_count: int
-    max_height: int
-
-    def __post_init__(self):
-        bound = self.generator_count * self.max_height
-        for (i, s), c in self.counts.items():
-            if not (0 <= i < self.generator_count and 0 <= s <= bound):
-                raise ValueError("profile key out of range")
-            if c < 0:
-                raise ValueError("profile counts must be non-negative")
-
-
-def mixed_profile(simplex: Simplex) -> tuple[AtomicHeightProfile,
-                                             tuple[int, ...]]:
-    """Embed vertex j at its minimal integral height m_j (lcm of its
-    coordinate denominators) and profile the atomic points of the
-    resulting cone by (level-1, last coordinate).  Returns the profile
-    and the heights in vertex order."""
+    height, the ceiling the fundamental simplex does guarantee, so a
+    higher one is a broken invariant (AssertionError)."""
     if not simplex.is_open:
         raise ValueError("simplex must be open")
     heights = tuple(lcm(*(x.denominator for x in v), 1)
                     for v in simplex.vertices)
     generators = [tuple(int(x * m) for x in v) + (m,)
                   for v, m in zip(simplex.vertices, heights)]
-    basis = ConeBasis(generators)
+    bound = len(generators) * max(heights)
     counts: dict[tuple[int, int], int] = {}
-    for atom in enumerate_atomic(basis):
+    for atom in enumerate_atomic(ConeBasis(generators)):
+        if atom.height > bound:
+            raise AssertionError("atomic height above generators * max "
+                                 "height")
         key = (atom.level - 1, atom.height)
         counts[key] = counts.get(key, 0) + 1
-    profile = AtomicHeightProfile(counts, len(generators), max(heights))
-    return profile, heights
+    return counts, heights
+
+
+def _profile_count(counts: Mapping[tuple[int, int], int],
+                   heights: Sequence[int], dilate: int) -> int:
+    """The count of dilate*simplex from its mixed_profile (counts,
+    heights)."""
+    if dilate < 1:
+        raise ValueError("dilate must be positive")
+    return sum(c * restricted_partition(heights[:i + 1], dilate - s)
+               for (i, s), c in counts.items())
 
 
 def count_via_profile(simplex: Simplex, dilate: int) -> int:
@@ -153,10 +148,4 @@ def count_via_profile(simplex: Simplex, dilate: int) -> int:
     profile: each atomic point at level i+1 and height s contributes the
     restricted partition count of dilate - s over the first i+1 vertex
     heights."""
-    if dilate < 1:
-        raise ValueError("dilate must be positive")
-    profile, heights = mixed_profile(simplex)
-    total = 0
-    for (i, s), c in profile.counts.items():
-        total += c * restricted_partition(heights[:i + 1], dilate - s)
-    return total
+    return _profile_count(*mixed_profile(simplex), dilate)

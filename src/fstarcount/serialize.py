@@ -49,17 +49,26 @@ def _number(obj) -> Fraction | None:
     return None
 
 
+# Most characters of a refused value that an error message repeats.
+_ECHO_CHARS = 40
+
+
+def _echo(obj) -> str:
+    text = repr(obj)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
 def rational_from_obj(obj) -> Fraction:
     x = _number(obj)
     if x is None:
-        raise ValueError(f"not a rational: {obj!r}")
+        raise ValueError(f"not a rational: {_echo(obj)}")
     return x
 
 
 def int_from_obj(obj) -> int:
     x = _number(obj)
     if x is None or x.denominator != 1:
-        raise ValueError(f"not an integer: {obj!r}")
+        raise ValueError(f"not an integer: {_echo(obj)}")
     return int(x)
 
 
@@ -170,9 +179,16 @@ def fstar_to_json(f: FStarVector) -> dict:
             "ambient_degree": f.ambient_degree}
 
 
+def _fstar(entries: tuple, degree: int, path: str) -> FStarVector:
+    if len(entries) != degree + 1:
+        raise ValueError(f"{path}: expected {degree + 1} entries "
+                         f"(ambient_degree + 1), got {len(entries)}")
+    return FStarVector(entries, degree)
+
+
 def fstar_from_json(obj: Mapping) -> FStarVector:
-    return FStarVector(_field(obj, "fstar", _vector),
-                       _field(obj, "ambient_degree", _integer))
+    return _fstar(_field(obj, "fstar", _vector),
+                  _field(obj, "ambient_degree", _integer), "fstar")
 
 
 def hstar_to_json(h: HStarVector) -> dict:
@@ -201,7 +217,8 @@ def quasipolynomial_from_json(obj: Mapping) -> EhrhartQuasiPolynomial:
     for i, residue in enumerate(_field(obj, "residues", _list)):
         path = f"residues[{i}]."
         l = _field(_object(residue, path[:-1]), "heights_mod", _integer, path)
-        fstar[l] = FStarVector(_field(residue, "fstar", _vector, path), degree)
+        fstar[l] = _fstar(_field(residue, "fstar", _vector, path), degree,
+                          f"{path}fstar")
     if sorted(fstar) != list(range(1, len(fstar) + 1)):
         raise ValueError("residues: missing residue class")
     return EhrhartQuasiPolynomial(

@@ -168,11 +168,13 @@ def hstar_simplex(simplex: Simplex) -> HStarVector:
 
 
 def is_unimodular(simplex: Simplex) -> bool:
-    """True when the open simplex carries a single atomic point, i.e.
-    its normalized volume is 1."""
+    """True when the normalized volume is 1, i.e. the open simplex
+    carries a single atomic point.  The volume is the product of the
+    Hermite diagonal of the homogenized cone, and the solve template's
+    denominator is 1 exactly when that product is."""
     if not simplex.is_integral():
         raise ValueError("vertices must be integral")
-    return len(enumerate_atomic(homogenize(simplex, 1))) == 1
+    return homogenize(simplex, 1).solver.denom == 1
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,7 @@ def fstar_complex(complex_: OpenComplex,
     """Sum of the cells' padded f*-vectors."""
     target = complex_.dim if ambient_degree is None else ambient_degree
     if target < complex_.dim:
-        raise ValueError("ambient degree too small")
+        raise ValueError("ambient degree too small for the complex")
     total = [Fraction(0)] * (target + 1)
     for cell in complex_.cells:
         for i, c in enumerate(fstar_simplex(cell, target).entries):

@@ -159,6 +159,54 @@ def test_coloring_complex(tmp_path, capsys):
     assert out["dimension"] == 3
 
 
+def test_empty_coloring_complex(tmp_path, capsys):
+    # the only edge's improper vectors are all-zero and all-one
+    path = write(tmp_path, "h.json", {"vertices": 2, "edges": [[1, 2]]})
+    code = cli.run(["coloring-complex", "--hypergraph", path])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == ('{"dimension":0,"f":[],"fstar":["0"],'
+                            '"hstar":["0"]}\n')
+
+
+def _calls(monkeypatch, module, name):
+    """Count the calls of module.name from here on."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_coloring_complex_enumerates_once(tmp_path, capsys, monkeypatch):
+    from fstarcount import coloring
+    calls = _calls(monkeypatch, coloring, "coloring_complex_faces")
+    path = write(tmp_path, "h.json", TRIPLE_EDGE_HYPERGRAPH)
+    assert cli.run(["coloring-complex", "--hypergraph", path]) == 0
+    assert len(calls) == 1
+
+
+def test_profile_count_walks_once(tmp_path, capsys, monkeypatch):
+    from fstarcount import rational
+    calls = _calls(monkeypatch, rational, "enumerate_atomic")
+    path = write(tmp_path, "s.json", HALF_SEGMENT)
+    assert cli.run(["profile-count", "--simplex", path, "--dilate", "7"]) == 0
+    assert len(calls) == 1
+
+
+def test_is_unimodular_walks_no_atomic_points(monkeypatch):
+    from fstarcount import simplices
+    calls = _calls(monkeypatch, simplices, "enumerate_atomic")
+    cell = simplices.Simplex([(1, 0, 0), (0, 1, 0), (0, 0, 1)], True)
+    assert simplices.is_unimodular(cell)
+    assert not simplices.is_unimodular(simplices.Simplex([(0,), (2,)]))
+    assert calls == []
+
+
 def test_outputs_deterministic(tmp_path, capsys):
     path = write(tmp_path, "s.json", OPEN_STD2)
     cli.run(["fstar", "--simplex", path])
@@ -332,6 +380,10 @@ def _python(code, *argv):
      "to increase the limit"),
     ("fstar", "--simplex", {"vertices": [["1e10000000"]]},
      "vertices[0][0]: not a rational: '1e10000000'"),
+    ("fstar", "--simplex", {"vertices": [["7" * 4400]]},
+     "vertices[0][0]: not a rational: '" + "7" * 39 + "..."),
+    ("coloring-complex", "--hypergraph", {"vertices": "x" * 300, "edges": []},
+     "vertices: not an integer: '" + "x" * 39 + "..."),
     ("coloring-complex", "--hypergraph", {"vertices": 9, "edges": [[1, 2]]},
      "coloring complex too large: more than 100000 chain faces summed "
      "over the edges"),
@@ -350,7 +402,8 @@ def _python(code, *argv):
         "facet-not-a-list", "cell-not-an-object",
         "hypergraph-vertices-a-list", "vertex-entry-not-a-rational",
         "cell-vertices-missing", "deeply-nested-array", "integer-too-long",
-        "exponent-coordinate", "hypergraph-too-large",
+        "exponent-coordinate", "coordinate-too-long",
+        "vertex-count-too-long", "hypergraph-too-large",
         "facet-beyond-dimension", "facets-too-many-faces"])
 def test_malformed_input_is_one_error_line(tmp_path, command, flag,
                                            payload, detail):
@@ -366,25 +419,42 @@ def test_malformed_input_is_one_error_line(tmp_path, command, flag,
     assert proc.stderr == f"error: {path}: {detail}\n"
 
 
-def test_broken_invariant_exits_two(tmp_path, capsys, monkeypatch):
-    # atomic points whose heights are shifted past their level's residue
-    # classes trip residue_fstar's invariant check
+def _lift_atomic_heights(monkeypatch):
+    """Make rational's atomic walk return every point 100 higher."""
     from fstarcount import rational
     from fstarcount.cones import AtomicPoint
     original = rational.enumerate_atomic
 
-    def shifted(basis):
+    def lifted(basis):
         return [AtomicPoint(p.point[:-1] + (p.point[-1] + 100,),
                             p.coefficients)
                 for p in original(basis)]
 
-    monkeypatch.setattr(rational, "enumerate_atomic", shifted)
+    monkeypatch.setattr(rational, "enumerate_atomic", lifted)
+
+
+def test_broken_invariant_exits_two(tmp_path, capsys, monkeypatch):
+    # atomic points whose heights are shifted past their level's residue
+    # classes trip residue_fstar's invariant check
+    _lift_atomic_heights(monkeypatch)
     path = write(tmp_path, "s.json", HALF_SEGMENT)
     code = cli.run(["rational-fstar", "--simplex", path, "--period", "2"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == ("error: invariant failed: atomic height "
                             "outside its level's residues\n")
+
+
+def test_profile_invariant_exits_two(tmp_path, capsys, monkeypatch):
+    # the same points pass the generators * max height bound that
+    # mixed_profile checks
+    _lift_atomic_heights(monkeypatch)
+    path = write(tmp_path, "s.json", HALF_SEGMENT)
+    code = cli.run(["profile-count", "--simplex", path, "--dilate", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: invariant failed: atomic height above "
+                            "generators * max height\n")
 
 
 def test_rational_fstar_period_must_be_positive(tmp_path, capsys):

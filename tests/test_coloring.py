@@ -6,7 +6,8 @@ from fstarcount.coloring import (Hypergraph, coloring_complex_faces,
                                  coloring_complex_hstar, edge_chain_faces,
                                  improper_vertex_set,
                                  realize_coloring_complex)
-from fstarcount.simplices import fstar_complex, is_unimodular
+from fstarcount.cones import enumerate_atomic
+from fstarcount.simplices import fstar_complex, homogenize, is_unimodular
 
 TRIPLE_EDGES = (frozenset(range(1, 7)), frozenset(range(4, 10)),
                frozenset({1, 2, 3, 7, 8, 9}))
@@ -97,7 +98,7 @@ class TestInclusionExclusion:
         # constant on vertices 1..9
         assert shared == {
             frozenset({(0,) * 9 + (1,)}), frozenset({(1,) * 9 + (0,)})}
-        union = coloring_complex_faces(TRIPLE_GRAPH).faces
+        union = coloring_complex_faces(TRIPLE_GRAPH)
         assert len(union) == sum(len(s) for s in per_edge) - 2 * len(shared)
 
     def test_f_vector_identity(self):
@@ -114,6 +115,14 @@ class TestGeometricRealization:
         graph = Hypergraph(4, (frozenset({1, 2}), frozenset({3, 4})))
         realized = realize_coloring_complex(graph)
         assert all(is_unimodular(cell.as_closed()) for cell in realized.cells)
+
+    def test_unimodular_agrees_with_the_atomic_count(self):
+        graph = Hypergraph(5, (frozenset({1, 2}), frozenset({3, 4, 5})))
+        cells = realize_coloring_complex(graph).cells
+        assert len(cells) == sum(coloring_complex_fvector(graph))
+        for cell in cells:
+            assert is_unimodular(cell)
+            assert len(enumerate_atomic(homogenize(cell, 1))) == 1
 
     def test_counting_oracle_agreement(self):
         # the combinatorial face counts and the geometric lattice counts

@@ -109,3 +109,18 @@ def test_closed_cells_rejected():
     payload = {"cells": [{"vertices": [["0"], ["1"]], "openness": "closed"}]}
     with pytest.raises(ValueError, match="open"):
         serialize.complex_from_json(payload)
+
+
+@pytest.mark.parametrize("parse,payload,message", [
+    (serialize.fstar_from_json, {"fstar": ["1"], "ambient_degree": 2},
+     "fstar: expected 3 entries (ambient_degree + 1), got 1"),
+    (serialize.quasipolynomial_from_json,
+     {"period": 1, "ambient_degree": 2,
+      "residues": [{"heights_mod": 1, "fstar": ["1"]}]},
+     "residues[0].fstar: expected 3 entries (ambient_degree + 1), got 1"),
+], ids=["fstar", "residue-fstar"])
+def test_fstar_entry_count_names_the_field(parse, payload, message):
+    with pytest.raises(ValueError) as caught:
+        parse(payload)
+    assert str(caught.value) == message
+

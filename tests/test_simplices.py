@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fstarcount.bases import eval_fstar, fstar_pad, poly_from_fstar
+from fstarcount.cones import enumerate_atomic
 from fstarcount.exact import solve_exact
 from fstarcount.simplices import (OpenComplex, Simplex, count_points,
                                   count_points_complex, fstar_complex,
@@ -289,6 +290,25 @@ class TestUnimodular:
 
     def test_reeve(self):
         assert not is_unimodular(REEVE)
+
+    def test_agrees_with_the_atomic_count(self):
+        # is_unimodular reads the solve template's denominator; the
+        # definition is one atomic point in the homogenized open cone
+        rng = random.Random(4419)
+        verdicts = []
+        while len(verdicts) < 80:
+            d = rng.randint(0, 4)
+            ambient = max(d, 1) + rng.randint(0, 2)
+            verts = [tuple(rng.randint(-2, 2) for _ in range(ambient))
+                     for _ in range(d + 1)]
+            try:
+                simplex = Simplex(verts, is_open=rng.random() < 0.5)
+            except ValueError:
+                continue
+            atoms = enumerate_atomic(homogenize(simplex, 1))
+            assert is_unimodular(simplex) == (len(atoms) == 1), verts
+            verdicts.append(len(atoms) == 1)
+        assert True in verdicts and False in verdicts
 
 
 class TestRealizeFstar:
