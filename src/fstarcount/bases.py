@@ -32,6 +32,13 @@ from typing import Sequence
 from .exact import Polynomial, RatVector, Scalar, binomial_poly, gen_binomial
 
 
+def _check_shape(entries: RatVector, ambient_degree: int) -> None:
+    if ambient_degree < 0:
+        raise ValueError("ambient degree must be non-negative")
+    if len(entries) != ambient_degree + 1:
+        raise ValueError("entry count must be ambient_degree + 1")
+
+
 @dataclass(frozen=True)
 class FStarVector:
     entries: RatVector
@@ -40,8 +47,7 @@ class FStarVector:
     def __post_init__(self):
         entries = tuple(Fraction(e) for e in self.entries)
         object.__setattr__(self, "entries", entries)
-        if len(entries) != self.ambient_degree + 1:
-            raise ValueError("entry count must be ambient_degree + 1")
+        _check_shape(entries, self.ambient_degree)
 
     def is_nonnegative_integral(self) -> bool:
         return all(e.denominator == 1 and e >= 0 for e in self.entries)
@@ -55,8 +61,7 @@ class HStarVector:
     def __post_init__(self):
         entries = tuple(Fraction(e) for e in self.entries)
         object.__setattr__(self, "entries", entries)
-        if len(entries) != self.ambient_degree + 1:
-            raise ValueError("entry count must be ambient_degree + 1")
+        _check_shape(entries, self.ambient_degree)
 
 
 def _forward_differences(values: Sequence[Scalar]) -> list[Scalar]:

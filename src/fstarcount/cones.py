@@ -19,6 +19,10 @@ membership test below is pure integer arithmetic.  One scan,
 (0 <= t_i < denom) or to the open cone up to a level L (t_i >= 1,
 sum(t) <= L * denom); a cone of lower dimension runs it in a lattice
 basis of its span, from the same echelon pass, and maps each point back.
+Under it, `scan_constrained` steps each coordinate through the interval
+its constraint rows leave feasible, so no value is tried and rejected.
+An AtomicPoint keeps t itself (`scaled`) with denom, and its level is
+one integer ceiling; the Fraction lambda is built only for output.
 """
 
 from __future__ import annotations
@@ -39,8 +43,13 @@ def scan_constrained(bounds: Sequence[tuple[int, int]],
     """Enumerate integer points z of a box subject to linear constraints
     lo <= coeffs . z <= hi.
 
-    Depth-first over coordinates with interval pruning: a branch is cut
-    as soon as some constraint cannot be met by any completion.  Yields
+    Depth-first over coordinates.  At each node the coordinate's feasible
+    interval is computed from the constraint rows, the partial sums so
+    far and the extremes the later coordinates can still add (one ceiling
+    or floor division per non-zero entry), and the scan steps through
+    that interval, adding the column to the partial sums.  A zero entry
+    needs no test below the root: the parent's interval already kept its
+    row satisfiable, and the root tests every row once.  Yields
     (z, values) in lexicographic order; `values` (aligned with the
     constraints) is a reused buffer -- copy it before storing.
     """
@@ -62,6 +71,12 @@ def scan_constrained(bounds: Sequence[tuple[int, int]],
                 a, b = b, a
             suf_min[j][r] = suf_min[j + 1][r] + a
             suf_max[j][r] = suf_max[j + 1][r] + b
+    if any(suf_max[0][r] < lowers[r] or suf_min[0][r] > uppers[r]
+           for r in range(m)):
+        return
+    # (row, entry) for the non-zero entries of each column.
+    columns = [[(r, rows[r][j]) for r in range(m) if rows[r][j]]
+               for j in range(n)]
     point = [0] * n
     stack = [[0] * m for _ in range(n + 1)]
 
@@ -71,19 +86,31 @@ def scan_constrained(bounds: Sequence[tuple[int, int]],
             yield tuple(point), current
             return
         lo, hi = bounds[j]
-        nxt = stack[j + 1]
         smin, smax = suf_min[j + 1], suf_max[j + 1]
+        column = columns[j]
+        # lowers - rest_max <= current + a * v <= uppers - rest_min
+        for r, a in column:
+            low = lowers[r] - current[r] - smax[r]
+            high = uppers[r] - current[r] - smin[r]
+            if a < 0:
+                low, high, a = -high, -low, -a
+            v = -(-low // a)
+            if v > lo:
+                lo = v
+            v = high // a
+            if v < hi:
+                hi = v
+        if lo > hi:
+            return
+        nxt = stack[j + 1]
+        nxt[:] = current
+        for r, a in column:
+            nxt[r] += a * lo
         for v in range(lo, hi + 1):
-            feasible = True
-            for r in range(m):
-                value = current[r] + rows[r][j] * v
-                if value + smax[r] < lowers[r] or value + smin[r] > uppers[r]:
-                    feasible = False
-                    break
-                nxt[r] = value
-            if feasible:
-                point[j] = v
-                yield from descend(j + 1)
+            point[j] = v
+            yield from descend(j + 1)
+            for r, a in column:
+                nxt[r] += a
 
     yield from descend(0)
 
@@ -125,12 +152,16 @@ def is_atomic(c: CoefficientVector) -> bool:
 
 @dataclass(frozen=True)
 class AtomicPoint:
+    """An atomic lattice point with its coefficients in integers:
+    scaled = denom * lambda, with denom the cone's solve denominator."""
+
     point: IntVector
-    coefficients: CoefficientVector
+    scaled: IntVector
+    denom: int
 
     @property
     def level(self) -> int:
-        return self.coefficients.level
+        return -(-sum(self.scaled) // self.denom)  # ceil(sum(lambda))
 
     @property
     def height(self) -> int:
@@ -251,7 +282,7 @@ def _bounded_exponents(slots: int, total: int) -> Iterator[tuple[int, ...]]:
 
 
 def _scaled_atomic(basis: ConeBasis,
-                   ) -> tuple[list[tuple[IntVector, list[int]]], int]:
+                   ) -> tuple[list[tuple[IntVector, IntVector]], int]:
     """Atomic points as (point, scaled coefficients) sorted by point,
     plus the scaling denominator.
 
@@ -277,16 +308,9 @@ def _scaled_atomic(basis: ConeBasis,
             z = tuple(base_point[c]
                       + sum(exponents[i] * gens[i][c] for i in range(d))
                       for c in range(basis.ambient_dim))
-            found.append((z, t))
+            found.append((z, tuple(t)))
     found.sort(key=lambda item: item[0])
     return found, denom
-
-
-def _to_atomic_point(z: IntVector, scaled: Sequence[int],
-                     denom: int) -> AtomicPoint:
-    coeffs = CoefficientVector.from_lambdas(
-        Fraction(t, denom) for t in scaled)
-    return AtomicPoint(z, coeffs)
 
 
 def enumerate_atomic(basis: ConeBasis) -> tuple[AtomicPoint, ...]:
@@ -297,7 +321,7 @@ def enumerate_atomic(basis: ConeBasis) -> tuple[AtomicPoint, ...]:
     are finitely many, all at level <= d.
     """
     found, denom = _scaled_atomic(basis)
-    return tuple(_to_atomic_point(z, t, denom) for z, t in found)
+    return tuple(AtomicPoint(z, t, denom) for z, t in found)
 
 
 def atomic_inductive_oracle(basis: ConeBasis) -> tuple[AtomicPoint, ...]:
@@ -310,13 +334,13 @@ def atomic_inductive_oracle(basis: ConeBasis) -> tuple[AtomicPoint, ...]:
     """
     d = basis.dim
     denom = basis.solver.denom
-    by_level: dict[int, list[tuple[IntVector, list[int]]]] = {}
+    by_level: dict[int, list[tuple[IntVector, IntVector]]] = {}
     for z, vals in _scan_scaled(basis, d):
-        t = vals[:d]
+        t = tuple(vals[:d])
         total = sum(t)
         level = -((-total) // denom)
         by_level.setdefault(level, []).append((z, t))
-    kept: list[tuple[IntVector, list[int], int]] = []
+    kept: list[tuple[IntVector, IntVector, int]] = []
     for level in range(1, d + 1):
         new = []
         for z, t in by_level.get(level, ()):
@@ -330,7 +354,7 @@ def atomic_inductive_oracle(basis: ConeBasis) -> tuple[AtomicPoint, ...]:
                 new.append((z, t, level))
         kept.extend(new)
     kept.sort(key=lambda item: item[0])
-    return tuple(_to_atomic_point(z, t, denom) for z, t, _ in kept)
+    return tuple(AtomicPoint(z, t, denom) for z, t, _ in kept)
 
 
 @dataclass(frozen=True)
@@ -354,7 +378,7 @@ def verify_partition(basis: ConeBasis, max_level: int) -> PartitionReport:
     atomics, denom = _scaled_atomic(basis)
     # Group by the componentwise remainder mod denom: translation by an
     # integer generator combination never changes it.
-    groups: dict[tuple[int, ...], list[tuple[list[int], int]]] = {}
+    groups: dict[tuple[int, ...], list[tuple[IntVector, int]]] = {}
     for _, t in atomics:
         total = sum(t)
         level = -((-total) // denom)

@@ -61,6 +61,8 @@ class EhrhartQuasiPolynomial:
     def __post_init__(self):
         if self.period < 1:
             raise ValueError("period must be positive")
+        if self.ambient_degree < 0:
+            raise ValueError("ambient degree must be non-negative")
         if len(self.residue_fstar) != self.period:
             raise ValueError("one residue vector per residue class required")
 

@@ -104,7 +104,15 @@ def _vectors(value, path: str, parse: Callable = rational_from_obj) -> tuple:
                  for i, v in enumerate(_list(value, path)))
 
 
+def _nonnegative(obj) -> int:
+    x = int_from_obj(obj)
+    if x < 0:
+        raise ValueError(f"must be non-negative, got {x}")
+    return x
+
+
 _integer = partial(_entry, int_from_obj)
+_degree = partial(_entry, _nonnegative)
 _integers = partial(_vectors, parse=int_from_obj)
 
 
@@ -169,7 +177,7 @@ def generators_from_json(obj: Mapping) -> ConeBasis:
 def atomic_points_to_json(points: Sequence[AtomicPoint]) -> list[dict]:
     return [{
         "point": [str(x) for x in a.point],
-        "lambda": vector_to_json(a.coefficients.lambdas),
+        "lambda": [rational_to_str(Fraction(t, a.denom)) for t in a.scaled],
         "level": a.level,
     } for a in points]
 
@@ -188,7 +196,7 @@ def _fstar(entries: tuple, degree: int, path: str) -> FStarVector:
 
 def fstar_from_json(obj: Mapping) -> FStarVector:
     return _fstar(_field(obj, "fstar", _vector),
-                  _field(obj, "ambient_degree", _integer), "fstar")
+                  _field(obj, "ambient_degree", _degree), "fstar")
 
 
 def hstar_to_json(h: HStarVector) -> dict:
@@ -212,7 +220,7 @@ def quasipolynomial_to_json(qp: EhrhartQuasiPolynomial) -> dict:
 def quasipolynomial_from_json(obj: Mapping) -> EhrhartQuasiPolynomial:
     from .rational import EhrhartQuasiPolynomial
     period = _field(obj, "period", _integer)
-    degree = _field(obj, "ambient_degree", _integer)
+    degree = _field(obj, "ambient_degree", _degree)
     fstar = {}
     for i, residue in enumerate(_field(obj, "residues", _list)):
         path = f"residues[{i}]."

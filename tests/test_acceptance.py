@@ -2,12 +2,13 @@
 and prints one pass/fail line."""
 
 import importlib
+import inspect
 import sys
+import textwrap
 
 import pytest
 
 from fstarcount import acceptance
-from fstarcount.cones import CoefficientVector
 
 
 @pytest.mark.parametrize("number,check",
@@ -52,14 +53,13 @@ def _residue_off_by_one(func):
 
 def _one_level_up(func):
     """func with its first atomic point below the top level moved up one
-    level, by raising its last coefficient by one."""
+    level, by raising its last scaled coefficient by denom."""
     def wrapped(basis):
         points = list(func(basis))
         for i, p in enumerate(points):
             if p.level < basis.dim:
-                lambdas = p.coefficients.lambdas
-                points[i] = type(p)(p.point, CoefficientVector.from_lambdas(
-                    lambdas[:-1] + (lambdas[-1] + 1,)))
+                points[i] = type(p)(p.point, p.scaled[:-1]
+                                    + (p.scaled[-1] + p.denom,), p.denom)
                 break
         return tuple(points)
     return wrapped
@@ -83,6 +83,18 @@ def _drop_last_point(parallelepiped):
     return wrapped
 
 
+def _interval_without_top(scan):
+    """scan_constrained rebuilt from its own source with every
+    coordinate's feasible interval stepped one short of its top value."""
+    source = textwrap.dedent(inspect.getsource(scan))
+    step = "range(lo, hi + 1)"
+    if source.count(step) != 1:
+        pytest.fail(f"scan_constrained no longer steps through {step}")
+    namespace = dict(scan.__globals__)
+    exec(source.replace(step, "range(lo, hi)"), namespace)
+    return namespace[scan.__name__]
+
+
 @pytest.mark.parametrize("owner,name,sabotage,check", [
     ("bases", "fstar_from_poly", _off_by_one, acceptance.criterion_9),
     ("bases", "hstar_from_poly", _off_by_one, acceptance.criterion_9),
@@ -98,10 +110,12 @@ def _drop_last_point(parallelepiped):
      acceptance.criterion_4),
     ("cones", "_parallelepiped_scaled", _drop_last_point,
      acceptance.criterion_4),
+    ("cones", "scan_constrained", _interval_without_top,
+     acceptance.criterion_3),
 ], ids=["fstar_from_poly", "hstar_from_poly", "fstar_interpolate",
         "fstar_simplex", "hstar_simplex", "count_points", "residue_fstar",
         "count_via_profile", "enumerate_atomic", "_scan_scaled",
-        "_parallelepiped_scaled"])
+        "_parallelepiped_scaled", "scan_constrained"])
 def test_criterion_catches_an_off_by_one(owner, name, sabotage, check,
                                          monkeypatch):
     """A criterion that checks a route must fail when that route is

@@ -41,6 +41,14 @@ def test_degree_too_small():
         hstar_from_poly(quadratic, 1)
 
 
+@pytest.mark.parametrize("vector", [FStarVector, HStarVector])
+def test_negative_ambient_degree_refused(vector):
+    with pytest.raises(ValueError, match="ambient degree must be "
+                                         "non-negative"):
+        vector((), -1)
+    assert vector((5,), 0).entries == (5,)
+
+
 def test_fstar_pad():
     assert fstar_pad(FStarVector((0, 0, 1), 2), 5).entries == (0, 0, 1, 0, 0, 0)
     assert fstar_pad(FStarVector((2, 0), 1), 2).entries == (2, 0, 0)

@@ -427,7 +427,7 @@ def _lift_atomic_heights(monkeypatch):
 
     def lifted(basis):
         return [AtomicPoint(p.point[:-1] + (p.point[-1] + 100,),
-                            p.coefficients)
+                            p.scaled, p.denom)
                 for p in original(basis)]
 
     monkeypatch.setattr(rational, "enumerate_atomic", lifted)

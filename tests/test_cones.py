@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -223,6 +224,49 @@ class TestScanAgainstSolveExact:
             assert self.scanned(basis, level) == naive, basis
 
 
+class TestAtomicPointIntegers:
+    """AtomicPoint keeps scaled = denom * lambda as integers and reads
+    its level as one integer ceiling; both are pinned here to lambda from
+    the Fraction solve_exact on the generator columns."""
+
+    @staticmethod
+    def cones():
+        rng = random.Random(4242)
+        cones = [random_cone(rng, dims=(1, 2, 3), bound=3)
+                 for _ in range(30)]
+        cones += [random_cone(rng, dims=(1, 2, 3), bound=3,
+                              extra_dims=(1, 2)) for _ in range(20)]
+        # homogenized lower-dimensional simplices in a larger ambient space
+        for _ in range(15):
+            d = rng.randint(0, 2)
+            n = d + rng.randint(1, 2)
+            while True:
+                vertices = [tuple(rng.randint(-2, 3) for _ in range(n))
+                            for _ in range(d + 1)]
+                try:
+                    simplex = Simplex(vertices, is_open=True)
+                except ValueError:
+                    continue
+                cones.append(homogenize(simplex, 1))
+                break
+        return cones
+
+    def test_scaled_and_level_match_solve_exact(self):
+        checked = deficient = 0
+        for basis in self.cones():
+            columns = list(zip(*basis.generators))
+            deficient += basis.dim < basis.ambient_dim
+            for route in (enumerate_atomic, atomic_inductive_oracle):
+                for atom in route(basis):
+                    lambdas = solve_exact(columns, atom.point)
+                    assert atom.denom == basis.solver.denom
+                    assert list(atom.scaled) == [atom.denom * x
+                                                 for x in lambdas]
+                    assert atom.level == math.ceil(sum(lambdas))
+                    checked += 1
+        assert deficient >= 30 and checked >= 300, (deficient, checked)
+
+
 class TestParallelepiped:
     def test_unimodular(self):
         assert parallelepiped_points(ConeBasis([(1, 0), (0, 1)])) == ((0, 0),)
@@ -278,25 +322,57 @@ class TestVerifyPartition:
 
 class TestScanConstrained:
     def test_against_naive_filter(self):
+        """Points, their order and each yielded values buffer equal a
+        filtered itertools.product, on 400 cases with 0-4 coordinates and
+        0-4 rows: inverted bounds, zero entries (whole zero rows with a
+        range that misses 0 among them), negative entries and equality
+        rows."""
         from fstarcount.cones import scan_constrained
         rng = random.Random(606)
-        for _ in range(30):
-            n = rng.randint(1, 4)
+        seen = dict.fromkeys(["inverted", "infeasible zero row", "negative",
+                              "equality", "empty", "non-empty"], 0)
+        for case in range(400):
+            n, m = case % 5, rng.randint(0, 4)
             bounds = []
             for _ in range(n):
                 lo = rng.randint(-4, 2)
-                bounds.append((lo, lo + rng.randint(0, 5)))
+                width = -1 if rng.random() < 0.04 else rng.randint(0, 5)
+                bounds.append((lo, lo + width))
             constraints = []
-            for _ in range(rng.randint(0, 3)):
-                row = tuple(rng.randint(-3, 3) for _ in range(n))
-                lo = rng.randint(-6, 2)
-                constraints.append((row, lo, lo + rng.randint(-2, 10)))
-            got = [z for z, _ in scan_constrained(bounds, constraints)]
-            naive = [z for z in itertools.product(*(range(lo, hi + 1)
-                                                    for lo, hi in bounds))
-                     if all(lo <= sum(r * x for r, x in zip(row, z)) <= hi
-                            for row, lo, hi in constraints)]
-            assert got == naive
+            for _ in range(m):
+                row = tuple(rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3))
+                            for _ in range(n))
+                kind = rng.random()
+                if kind < 0.1:
+                    row = (0,) * n
+                    lo = rng.choice((-3, 1))  # a range without 0
+                    hi = lo + 2
+                elif kind < 0.35:
+                    lo = hi = rng.randint(-6, 6)
+                else:
+                    lo = rng.randint(-8, 4)
+                    hi = lo + rng.randint(-1, 12)
+                constraints.append((row, lo, hi))
+            got = [(z, list(values))
+                   for z, values in scan_constrained(bounds, constraints)]
+            naive = []
+            for z in itertools.product(*(range(lo, hi + 1)
+                                         for lo, hi in bounds)):
+                values = [sum(r * x for r, x in zip(row, z))
+                          for row, _, _ in constraints]
+                if all(lo <= v <= hi
+                       for v, (_, lo, hi) in zip(values, constraints)):
+                    naive.append((z, values))
+            assert got == naive, (bounds, constraints)
+            seen["inverted"] += any(lo > hi for lo, hi in bounds)
+            seen["infeasible zero row"] += any(
+                not any(row) and not lo <= 0 <= hi
+                for row, lo, hi in constraints)
+            seen["negative"] += any(x < 0 for row, _, _ in constraints
+                                    for x in row)
+            seen["equality"] += any(lo == hi for _, lo, hi in constraints)
+            seen["empty" if not naive else "non-empty"] += 1
+        assert min(seen.values()) >= 10, seen
 
     def test_values_match_rows(self):
         from fstarcount.cones import scan_constrained

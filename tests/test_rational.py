@@ -3,6 +3,7 @@ from math import lcm
 
 import pytest
 
+from fstarcount.bases import FStarVector
 from fstarcount.cones import ConeBasis, enumerate_atomic
 from fstarcount.rational import (EhrhartQuasiPolynomial, count_via_profile,
                                  mixed_profile, quasi_eval, residue_fstar,
@@ -117,6 +118,12 @@ class TestQuasiEval:
         qp = residue_fstar(HALF_SEGMENT, 2)
         with pytest.raises(ValueError):
             EhrhartQuasiPolynomial(3, 1, qp.residue_fstar)
+
+    def test_negative_ambient_degree_refused(self):
+        # a period-1 quasipolynomial of degree -1 would evaluate to 0
+        with pytest.raises(ValueError, match="ambient degree must be "
+                                             "non-negative"):
+            EhrhartQuasiPolynomial(1, -1, (FStarVector((0,), 0),))
 
 
 class TestMixedProfile:

@@ -124,3 +124,14 @@ def test_fstar_entry_count_names_the_field(parse, payload, message):
         parse(payload)
     assert str(caught.value) == message
 
+
+@pytest.mark.parametrize("parse,payload", [
+    (serialize.fstar_from_json, {"fstar": [], "ambient_degree": -1}),
+    (serialize.quasipolynomial_from_json,
+     {"period": 1, "ambient_degree": -1,
+      "residues": [{"heights_mod": 1, "fstar": []}]}),
+], ids=["fstar", "quasipolynomial"])
+def test_negative_ambient_degree_names_the_field(parse, payload):
+    with pytest.raises(ValueError) as caught:
+        parse(payload)
+    assert str(caught.value) == "ambient_degree: must be non-negative, got -1"
